@@ -144,7 +144,7 @@ class SamplingPlan:
             if t <= prev:
                 raise ValueError("timestamps must be strictly increasing")
             prev = t
-        fps_count = math.ceil(self.source_duration * self.target_fps)
+        fps_count = _fps_count(self.source_duration, self.target_fps)
         if (self.mode == UNIFORM_FALLBACK_MODE) != (fps_count > self.max_frames):
             raise ValueError("mode inconsistent with fps-mode frame count")
 
@@ -234,6 +234,29 @@ def patch_grid(plan: ResizePlan) -> PatchGrid:
     return PatchGrid(plan.target.height // plan.patch, plan.target.width // plan.patch)
 
 
+# A float product this close to an integer, relative to its size, may lie
+# on the other side of it from the exact product of the decimals; three
+# roundings (two inputs, one product) move it by under 4e-16 of its size,
+# so this bound leaves a wide margin.
+_NEAR_INTEGER = 1e-9
+# From here up every float is an integer.
+_ALL_INTEGERS = 2.0**53
+
+
+def _fps_count(duration: float, target_fps: float) -> int:
+    # ceil(duration * target_fps), both read as the decimals they print as.
+    # The float product decides when it lies clearly between two integers;
+    # otherwise the decimals decide, in rationals.
+    x = duration * target_fps
+    if x < _ALL_INTEGERS:
+        n = math.ceil(x)
+        if n - 1 + _NEAR_INTEGER * x < x < n - _NEAR_INTEGER * x:
+            return n
+    from fractions import Fraction  # rarely needed; keeps it out of import time
+
+    return math.ceil(Fraction(repr(float(duration))) * Fraction(repr(float(target_fps))))
+
+
 def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 128) -> SamplingPlan:
     """Plan frame timestamps for a clip of ``duration`` seconds.
 
@@ -242,6 +265,12 @@ def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 12
     very short clip produces one timestamp. When that count would exceed
     ``max_frames``, the plan falls back to exactly ``max_frames`` bin-center
     timestamps ``(i + 0.5) * duration / max_frames``.
+
+    The count reads ``duration`` and ``target_fps`` as the decimals they
+    print as, the values a caller wrote: 8.3 s at 30 fps holds the frames
+    ``k / 30 < 8.3``, which are 249, although the float product of 8.3 and
+    30 lies just above 249. So the plan always holds exactly that many
+    timestamps, and falls back only when that count exceeds the cap.
 
     Args:
         duration: Clip length in seconds, strictly positive.
@@ -252,24 +281,28 @@ def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 12
         The sampling plan.
 
     Raises:
-        InvalidDuration: If ``duration`` is not strictly positive.
+        InvalidDuration: If ``duration`` is not strictly positive and finite.
     """
-    if duration <= 0:
-        raise InvalidDuration(f"duration must be positive, got {duration}")
-    if target_fps <= 0:
-        raise ValueError(f"target_fps must be positive, got {target_fps}")
+    if not 0 < duration < math.inf:
+        raise InvalidDuration(f"duration must be positive and finite, got {duration}")
+    if not 0 < target_fps < math.inf:
+        raise ValueError(f"target_fps must be positive and finite, got {target_fps}")
     if max_frames < 1:
         raise ValueError(f"max_frames must be at least 1, got {max_frames}")
 
-    fps_count = math.ceil(duration * target_fps)
+    fps_count = _fps_count(duration, target_fps)
     if fps_count > max_frames:
         step = duration / max_frames
         timestamps = tuple((i + 0.5) * step for i in range(max_frames))
         mode = UNIFORM_FALLBACK_MODE
     else:
-        timestamps = tuple(
-            t for t in (k / target_fps for k in range(fps_count)) if t < duration
-        )
+        timestamps = tuple(k / target_fps for k in range(fps_count))
+        if timestamps[-1] >= duration:
+            # The last frame lies before the duration exactly, but its
+            # quotient rounds up to it (1/29.97 s, computed in floats, holds
+            # two frames at 29.97 fps); it takes the last float before the
+            # duration.
+            timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
         mode = FPS_MODE
     return SamplingPlan(
         mode=mode,

@@ -7,40 +7,49 @@ vectorised path, so the two can be checked against each other on random
 inputs. ``synth_features`` produces deterministic stand-in features so the
 pipeline can run without a vision encoder.
 
-All arithmetic is float64. Grids are immutable value types.
+Grids are immutable value types. An input grid keeps its own floating
+precision, float32 (as vision encoders emit it) or float64, so wrapping an
+encoder's features costs one copy at their native width. Every kernel
+accumulates and returns float64: a float32 input gives results bit-identical
+to the same kernel run on that input widened to float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidOutputShape, NonDivisibleStride
 from .geometry import PatchGrid
 
+_NATIVE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 @dataclass(frozen=True, eq=False)
 class FrameGrid:
-    """One frame's feature grid, shape (rows, cols, channels), float64.
+    """One frame's feature grid, shape (rows, cols, channels).
 
-    A 2D array is accepted and promoted to a single channel. Values must be
-    finite; the backing array is copied and marked read-only.
+    The backing array is copied once and marked read-only. A float32 or
+    float64 input keeps its dtype; any other dtype becomes float64. A 2D
+    array is accepted and promoted to a single channel. Values must be
+    finite. Grids the kernels return are float64.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
+        arr = np.array(self.values)
+        if arr.dtype not in _NATIVE_DTYPES:
+            arr = arr.astype(np.float64)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
             raise ValueError(f"grid must be 2D or 3D, got {arr.ndim}D")
         if arr.size == 0:
             raise ValueError("grid dimensions must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("grid values must be finite")
-        arr.setflags(write=False)
+        _seal(arr)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -58,6 +67,22 @@ class FrameGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape
+
+
+def _seal(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError("grid values must be finite")
+    arr.setflags(write=False)
+
+
+def _fresh_grid(arr: np.ndarray) -> FrameGrid:
+    # A kernel's result is a new float64 array nothing else references, so
+    # it is wrapped without a second copy. Its finiteness is still checked:
+    # float64 sums of finite inputs can overflow to inf.
+    _seal(arr)
+    grid = object.__new__(FrameGrid)
+    object.__setattr__(grid, "values", arr)
+    return grid
 
 
 def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> None:
@@ -92,11 +117,55 @@ def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid
     blocks = v.reshape(
         grid.rows // stride_h, stride_h, grid.cols // stride_w, stride_w, grid.channels
     )
-    return FrameGrid(blocks.mean(axis=(1, 3)))
+    # The two steps of np.mean, without its per-call overhead.
+    sums = np.add.reduce(blocks, axis=(1, 3), dtype=np.float64)
+    sums /= stride_h * stride_w
+    return _fresh_grid(sums)
 
 
-def _bin_starts(n_in: int, n_out: int) -> np.ndarray:
-    return np.array([i * n_in // n_out for i in range(n_out)], dtype=np.intp)
+@lru_cache(maxsize=256)
+def _adaptive_bins(
+    rows: int, cols: int, out_rows: int, out_cols: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    # Row bin edges, row and column bin starts, and the (out_rows,
+    # out_cols, 1) cell counts of the floor-boundary partition. The arrays
+    # are shared by every call with these shapes, so they are read-only.
+    row_edges = tuple(i * rows // out_rows for i in range(out_rows + 1))
+    col_edges = [j * cols // out_cols for j in range(out_cols + 1)]
+    row_starts = np.array(row_edges[:-1], dtype=np.intp)
+    col_starts = np.array(col_edges[:-1], dtype=np.intp)
+    counts = np.outer(np.diff(row_edges), np.diff(col_edges)).astype(np.float64)
+    counts = counts[:, :, np.newaxis]
+    for arr in (row_starts, col_starts, counts):
+        arr.setflags(write=False)
+    return row_edges, row_starts, col_starts, counts
+
+
+def _pairwise_sum(x: np.ndarray, out: np.ndarray) -> None:
+    # The pairwise summation numpy's float add reductions run (its
+    # pairwise_sum loop), of the slabs x[0], x[1], ... into float64
+    # ``out``, vectorised over each slab: fewer than 8 slabs add in order;
+    # up to 128 add into 8 interleaved partial sums, combined as a tree,
+    # then the remainder in order; more split in two at a multiple of 8.
+    # The -0.0 start is numpy's too, and leaves every sum unchanged.
+    n = len(x)
+    if n < 8:
+        np.add.reduce(x, axis=0, dtype=np.float64, out=out, initial=-0.0)
+    elif n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(x[:half], out)
+        rest = np.empty_like(out)
+        _pairwise_sum(x[half:], rest)
+        out += rest
+    else:
+        m = n - n % 8
+        lanes = x[:m].reshape(m // 8, 8, *x.shape[1:])
+        r = np.add.reduce(lanes, axis=0, dtype=np.float64, initial=-0.0)
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        np.add(r[0], r[1], out=out)
+        for k in range(m, n):
+            out += x[k]
 
 
 def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGrid:
@@ -104,20 +173,29 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
 
     Bin i along an axis of length n spans input indices
     [floor(i*n/out), floor((i+1)*n/out)); the bins tile the axis exactly,
-    so pooling to the input's own shape is the identity.
+    so pooling to the input's own shape is the identity. Sums accumulate
+    in float64, in the order of ``np.add.reduceat`` along rows and then
+    columns, so results are bit-identical to that form.
 
     Raises:
         InvalidOutputShape: If the target exceeds the input dimensions.
     """
     _check_adaptive(grid, out_rows, out_cols)
-    row_starts = _bin_starts(grid.rows, out_rows)
-    col_starts = _bin_starts(grid.cols, out_cols)
-    sums = np.add.reduceat(grid.values, row_starts, axis=0)
-    sums = np.add.reduceat(sums, col_starts, axis=1)
-    row_sizes = np.diff(np.append(row_starts, grid.rows))
-    col_sizes = np.diff(np.append(col_starts, grid.cols))
-    counts = row_sizes[:, np.newaxis] * col_sizes[np.newaxis, :]
-    return FrameGrid(sums / counts[:, :, np.newaxis])
+    row_edges, row_starts, col_starts, counts = _adaptive_bins(
+        grid.rows, grid.cols, out_rows, out_cols
+    )
+    v = grid.values
+    # reduceat adds each row bin's first row to the pairwise sum of the
+    # rest. Along rows that runs element by element down strided columns;
+    # here every step adds whole contiguous rows, widening float32 as it
+    # goes. The column bins then reduce the much smaller row sums.
+    row_sums = np.empty((out_rows, grid.cols, grid.channels))
+    for i in range(out_rows):
+        _pairwise_sum(v[row_edges[i] + 1:row_edges[i + 1]], row_sums[i])
+    row_sums += v[row_starts]
+    sums = np.add.reduceat(row_sums, col_starts, axis=1)
+    sums /= counts
+    return _fresh_grid(sums)
 
 
 def _axis_positions(n_in: int, n_out: int) -> np.ndarray:
@@ -155,7 +233,7 @@ def bilinear_resample(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
     bottom += v[r_hi][:, c_hi] * c_frac[np.newaxis, :, np.newaxis]
     out = top * (1.0 - r_frac)[:, np.newaxis, np.newaxis]
     out += bottom * r_frac[:, np.newaxis, np.newaxis]
-    return FrameGrid(out)
+    return _fresh_grid(out)
 
 
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -189,7 +267,7 @@ def synth_features(frame_index: int, grid: PatchGrid, channels: int) -> FrameGri
     step = np.uint64(0x100000001B3)
     key = ((base * step + r) * step + c) * step + k
     bits = _splitmix64(key)
-    return FrameGrid((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+    return _fresh_grid((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
 def naive_avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid:

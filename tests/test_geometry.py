@@ -1,9 +1,12 @@
 """Resize planning and frame sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftokens import (
     AreaThresholds,
@@ -143,6 +146,32 @@ class TestSampleFrames:
         with pytest.raises(ValueError):
             sample_frames(10.0, max_frames=0)
 
+    def test_non_finite_inputs_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidDuration):
+                sample_frames(bad)
+            with pytest.raises(ValueError):
+                sample_frames(10.0, target_fps=bad)
+
+    def test_decimal_count_fits_cap(self):
+        # 8.3 * 30 is 249.00000000000003 in floats; the frames k/30 < 8.3
+        # are 249, so they fit a cap of 249 and overflow one of 248.
+        plan = sample_frames(8.3, 30.0, 249)
+        assert plan.mode == "fps"
+        assert len(plan.timestamps) == 249
+        plan = sample_frames(8.3, 30.0, 248)
+        assert plan.mode == "uniform-fallback"
+        assert len(plan.timestamps) == 248
+
+    def test_last_frame_rounding_onto_duration_is_kept(self):
+        # The decimal 0.033366700033366704 exceeds 1/29.97, so frame 1 lies
+        # inside the clip, but the float 1/29.97 equals the duration.
+        duration = 1 / 29.97
+        plan = sample_frames(duration, 29.97, 128)
+        assert plan.mode == "fps"
+        assert len(plan.timestamps) == 2
+        assert plan.timestamps[0] == 0.0 < plan.timestamps[1] < duration
+
 
 class TestResizeProperties:
     """Randomized invariants; the acceptance suite runs the larger sweeps."""
@@ -192,3 +221,35 @@ class TestSamplingProperties:
             ts = np.array(plan.timestamps)
             assert (ts >= 0).all() and (ts < duration).all()
             assert (np.diff(ts) > 0).all()
+
+
+_RATES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 23.976, 24.0, 25.0, 29.97, 30.0, 59.94, 60.0]),
+    st.floats(0.1, 120.0),
+)
+
+
+@st.composite
+def _clip(draw):
+    fps = draw(_RATES)
+    duration = draw(st.one_of(
+        st.floats(1e-3, 1e4),
+        st.integers(1, 10**7).map(lambda ms: ms / 1000),
+        # a whole number of frames, as a caller's float division gives it
+        st.integers(1, 2000).map(lambda n: n / fps),
+    ))
+    return duration, fps, draw(st.integers(1, 512))
+
+
+class TestSamplingExactCount:
+    @settings(max_examples=500, deadline=None)
+    @given(_clip())
+    def test_count_is_exact_and_emitted(self, clip):
+        duration, fps, cap = clip
+        exact = math.ceil(Fraction(repr(duration)) * Fraction(repr(fps)))
+        plan = sample_frames(duration, fps, cap)
+        assert len(plan.timestamps) == min(exact, cap)
+        assert (plan.mode == "uniform-fallback") == (exact > cap)
+        ts = plan.timestamps
+        assert 0.0 <= ts[0] and ts[-1] < duration
+        assert all(a < b for a, b in zip(ts, ts[1:]))

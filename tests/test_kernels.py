@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sftokens import (
     FrameGrid,
@@ -16,6 +19,7 @@ from sftokens import (
     naive_bilinear_resample,
     synth_features,
 )
+from sftokens.selfcheck import ORACLE_TOLERANCE
 
 
 class TestFrameGrid:
@@ -45,6 +49,48 @@ class TestFrameGrid:
         g = FrameGrid(src)
         src[0, 0] = 99.0
         assert g.values[0, 0, 0] == 1.0
+
+    def test_float_inputs_keep_their_width(self):
+        assert FrameGrid(np.ones((2, 2, 3), dtype=np.float32)).values.dtype == np.float32
+        assert FrameGrid(np.ones((2, 2, 3), dtype=np.float64)).values.dtype == np.float64
+
+    def test_other_dtypes_become_float64(self):
+        assert FrameGrid(np.arange(6).reshape(2, 3)).values.dtype == np.float64
+        assert FrameGrid(np.ones((2, 2), dtype=bool)).values.dtype == np.float64
+        assert FrameGrid(np.ones((2, 2), dtype=np.float16)).values.dtype == np.float64
+        assert FrameGrid([[1, 2], [3, 4]]).values.dtype == np.float64
+
+    def test_float32_source_mutation_does_not_leak(self):
+        src = np.ones((2, 2, 2), dtype=np.float32)
+        g = FrameGrid(src)
+        src[0, 0, 0] = 99.0
+        assert g.values[0, 0, 0] == 1.0
+        assert not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0, 0, 0] = 3.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_float32(self, bad):
+        src = np.zeros((3, 3, 2), dtype=np.float32)
+        src[1, 2, 1] = bad
+        with pytest.raises(ValueError):
+            FrameGrid(src)
+
+    def test_kernel_outputs_are_float64(self):
+        g = FrameGrid(np.ones((4, 4, 2), dtype=np.float32))
+        for out in (avg_pool_strided(g, 2, 2), avg_pool_adaptive(g, 3, 3),
+                    bilinear_resample(g, 5, 3)):
+            assert out.values.dtype == np.float64
+            assert not out.values.flags.writeable
+
+    def test_overflowing_block_sums_rejected(self):
+        # Finite float64 inputs whose block sums overflow to inf.
+        g = FrameGrid(np.full((2, 2, 1), 1.7e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError):
+                avg_pool_strided(g, 2, 2)
+            with pytest.raises(ValueError):
+                avg_pool_adaptive(g, 1, 1)
 
 
 class TestStridedPooling:
@@ -99,6 +145,15 @@ class TestAdaptivePooling:
         out = avg_pool_adaptive(FrameGrid(values), 4, 4)
         row_means = [np.mean(np.arange(a, b)) for a, b in ((0, 7), (7, 15), (15, 22), (22, 30))]
         assert np.allclose(out.values[:, 0, 0], row_means, atol=1e-12)
+
+    def test_tall_bins_match_reduceat(self):
+        # Bins of 9 to 300 rows take the eight-lane and the split branches
+        # of the pairwise order; exponents far apart make any reordering show.
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((300, 140, 2)) * 10.0 ** rng.integers(-12, 12, (300, 140, 2))
+        for out_r, out_c in ((1, 1), (2, 3), (30, 15), (7, 140)):
+            got = avg_pool_adaptive(FrameGrid(v), out_r, out_c).values
+            assert np.array_equal(got, _adaptive_by_reduceat(v, out_r, out_c))
 
     def test_oversized_target_raises(self):
         g = FrameGrid(np.zeros((4, 4)))
@@ -186,6 +241,75 @@ class TestOracleEquivalence:
             got = bilinear_resample(g, out_r, out_c)
             want = naive_bilinear_resample(g, out_r, out_c)
             assert np.max(np.abs(got.values - want.values)) < 1e-6
+
+
+@st.composite
+def _grid_and_dtype(draw):
+    rows = draw(st.integers(1, 33))
+    cols = draw(st.integers(1, 33))
+    channels = draw(st.integers(1, 8))
+    width = draw(st.sampled_from([32, 64]))
+    # Magnitudes from 1e3 down to subnormals, so sums mix exponents far
+    # apart and any change in the order of additions shows.
+    elements = st.floats(-1e3, 1e3, width=width)
+    dtype = np.float32 if width == 32 else np.float64
+    return draw(arrays(dtype, (rows, cols, channels), elements=elements))
+
+
+@st.composite
+def _kernel_case(draw):
+    x = draw(_grid_and_dtype())
+    rows, cols = x.shape[:2]
+    name = draw(st.sampled_from(["strided", "adaptive", "bilinear"]))
+    if name == "strided":
+        args = (draw(st.sampled_from([d for d in range(1, rows + 1) if rows % d == 0])),
+                draw(st.sampled_from([d for d in range(1, cols + 1) if cols % d == 0])))
+    elif name == "adaptive":
+        args = (draw(st.integers(1, rows)), draw(st.integers(1, cols)))
+    else:
+        args = (draw(st.integers(1, 33)), draw(st.integers(1, 33)))
+    return name, x, args
+
+
+def _strided_by_mean(v, sh, sw):
+    rows, cols, ch = v.shape
+    return v.reshape(rows // sh, sh, cols // sw, sw, ch).mean(axis=(1, 3))
+
+
+def _adaptive_by_reduceat(v, out_rows, out_cols):
+    rows, cols, _ = v.shape
+    row_starts = [i * rows // out_rows for i in range(out_rows)]
+    col_starts = [j * cols // out_cols for j in range(out_cols)]
+    sums = np.add.reduceat(np.add.reduceat(v, row_starts, axis=0), col_starts, axis=1)
+    counts = np.outer(np.diff(row_starts + [rows]), np.diff(col_starts + [cols]))
+    return sums / counts[:, :, np.newaxis]
+
+
+# kernel, loop oracle, and the plain numpy form whose float64 results the
+# kernel reproduces bit for bit (bilinear has no separate form).
+_KERNELS = {
+    "strided": (avg_pool_strided, naive_avg_pool_strided, _strided_by_mean),
+    "adaptive": (avg_pool_adaptive, naive_avg_pool_adaptive, _adaptive_by_reduceat),
+    "bilinear": (bilinear_resample, naive_bilinear_resample, None),
+}
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case())
+    def test_matches_oracle_and_widened_input(self, case):
+        name, x, args = case
+        kernel, oracle, plain = _KERNELS[name]
+        grid = FrameGrid(x)
+        assert grid.values.dtype == x.dtype
+        got = kernel(grid, *args).values
+        assert got.dtype == np.float64
+        want = oracle(grid, *args).values
+        assert np.max(np.abs(got - want)) <= ORACLE_TOLERANCE
+        x64 = x.astype(np.float64)
+        assert np.array_equal(got, kernel(FrameGrid(x64), *args).values)
+        if plain is not None:
+            assert np.array_equal(got, plain(x64, *args))
 
 
 class TestSynthFeatures:
