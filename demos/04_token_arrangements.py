@@ -12,14 +12,14 @@ from sftokens import (
     PatchGrid,
     PathwayConfig,
     project_video,
-    slow_frame_indices,
+    select_slow_frames,
     synth_features,
 )
 
 cfg = PathwayConfig(n_total=6, n_slow=2, stride_h=2, stride_w=2, fast_rows=1, fast_cols=1)
 frames = [synth_features(i, PatchGrid(4, 4), 1) for i in range(6)]
 
-print(f"frames: {cfg.n_total}, slow selection: {slow_frame_indices(cfg)}")
+print(f"frames: {cfg.n_total}, slow selection: {select_slow_frames(cfg.n_total, cfg.n_slow)}")
 print(f"slow tokens/frame: {(4 // 2) * (4 // 2)}, fast tokens/frame: {cfg.fast_tokens_per_frame}\n")
 
 for arrangement in (Arrangement.GSF, Arrangement.ISF):

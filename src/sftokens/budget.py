@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import InvalidOutputShape, NonDivisibleStride
 from .geometry import AreaThresholds, PatchGrid, Resolution, patch_grid, plan_resize
-from .projector import DEFAULT_VIDEO_CONFIG, Arrangement, PathwayConfig
+from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig
 
 DEFAULT_TEXT_ALLOWANCE = 512
 
@@ -164,9 +164,9 @@ def video_budget(
 ) -> BudgetReport:
     """Count the tokens a video produces under ``cfg`` on per-frame ``grid``.
 
-    Separator count follows the arrangement: one for the grouped layout,
-    one per frame for the interleaved layout. A budget that does not fit
-    the context window is reported, not raised.
+    Frame and separator counts come from ``cfg``, which owns the
+    arrangement rules. A budget that does not fit the context window is
+    reported, not raised.
     """
     if cfg.n_fast > 0 and (cfg.fast_rows > grid.rows or cfg.fast_cols > grid.cols):
         raise InvalidOutputShape(
@@ -175,8 +175,7 @@ def video_budget(
         )
     slow = cfg.n_slow * slow_tokens_per_frame(cfg, grid) if cfg.n_slow else 0
     fast = cfg.n_fast * cfg.fast_tokens_per_frame
-    separators = 1 if cfg.arrangement is Arrangement.GSF else cfg.n_total
-    return _report(slow, fast, separators, stage.context_length, text_allowance)
+    return _report(slow, fast, cfg.n_separators, stage.context_length, text_allowance)
 
 
 def image_budget(

@@ -109,7 +109,7 @@ def _take(doc: dict, key: str, default):
     value = doc.get(key, default)
     if value is None:
         return None
-    if key == "stage" or key == "arrangement" or key == "label":
+    if key == "stage" or key == "arrangement":
         return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -140,13 +140,7 @@ def stage_from_config(doc: dict) -> StageConfig:
 
 def pathway_from_config(doc: dict, base: PathwayConfig = DEFAULT_VIDEO_CONFIG) -> PathwayConfig:
     """Build a pathway config on top of ``base``, overriding present fields."""
-    fields = {}
-    for key in PATHWAY_KEYS:
-        if key in doc:
-            value = doc[key]
-            if key != "arrangement" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            fields[key] = value
+    fields = {key: _take(doc, key, None) for key in PATHWAY_KEYS if key in doc}
     try:
         return replace(base, **fields)
     except (TypeError, ValueError) as exc:

@@ -13,12 +13,23 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DegenerateResize, InvalidDuration
 
 FPS_MODE = "fps"
 UNIFORM_FALLBACK_MODE = "uniform-fallback"
+
+
+def as_count(name: str, value) -> int:
+    """``value`` through ``operator.index``, bools excepted, or a ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,9 @@ class PatchGrid:
     cols: int
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:
+            object.__setattr__(self, "rows", as_count("rows", self.rows))
+            object.__setattr__(self, "cols", as_count("cols", self.cols))
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid must be positive, got {self.rows}x{self.cols}")
 

@@ -2,32 +2,26 @@
 
 The slow stream keeps a uniform subset of frames at high spatial detail
 (light strided pooling); the fast stream covers frames at full rate but
-pooled down to a small fixed grid. The pooled grids are then flattened into
-a single token sequence in one of two orders:
+pooled down to a small fixed grid. The pooled frames form one token
+sequence, grouped (GSF: every slow frame, one separator, then every frame
+fast) or interleaved (ISF: frames in time order, each slow or else fast,
+each closed by a separator).
 
-* grouped: every slow token, one separator, then every fast token;
-* interleaved: frames in temporal order, each frame slow or fast, with one
-  separator closing each frame. In this arrangement the fast stream covers
-  exactly the frames the slow stream skipped.
-
-Sequences are plain values; identical inputs always produce identical
-sequences.
+These rules live only here. A sequence is a tuple of blocks, one per
+pooled frame or separator; a frame's tokens are its grid cells in
+row-major order, spelled out only by ``layout_lines``. Identical inputs
+always produce identical sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCount, PartitionViolation
+from .geometry import as_count
 from .kernels import FrameGrid, avg_pool_adaptive, avg_pool_strided
-
-CONTENT = "content"
-SEPARATOR = "separator"
-SLOW = "slow"
-FAST = "fast"
-
 
 class Arrangement(str, Enum):
     """Token ordering of the combined sequence."""
@@ -59,6 +53,10 @@ class PathwayConfig:
     arrangement: Arrangement = Arrangement.GSF
 
     def __post_init__(self) -> None:
+        for name in ("n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, as_count(name, value))
         if self.n_total < 1:
             raise ValueError(f"n_total must be positive, got {self.n_total}")
         if not 0 <= self.n_slow <= self.n_total:
@@ -71,9 +69,11 @@ class PathwayConfig:
 
     @property
     def n_fast(self) -> int:
-        if self.arrangement is Arrangement.GSF:
-            return self.n_total
-        return self.n_total - self.n_slow
+        return self.n_total if self.arrangement is Arrangement.GSF else self.n_total - self.n_slow
+
+    @property
+    def n_separators(self) -> int:
+        return 1 if self.arrangement is Arrangement.GSF else self.n_total
 
     @property
     def fast_tokens_per_frame(self) -> int:
@@ -83,68 +83,47 @@ class PathwayConfig:
 DEFAULT_VIDEO_CONFIG = PathwayConfig(n_total=128, n_slow=32)
 
 
-@dataclass(frozen=True)
-class TokenRecord:
-    """One token: either frame content or a separator.
+class TokenBlock(NamedTuple):
+    """One pooled frame's ``rows * cols`` tokens, or the ``SEPARATOR`` block."""
 
-    Content tokens carry their pathway, source frame and grid position;
-    separators carry none of these.
-    """
+    pathway: str
+    frame: int | None
+    rows: int
+    cols: int
 
-    kind: str
-    pathway: str | None = None
-    frame_index: int | None = None
-    grid_pos: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind == CONTENT:
-            if self.pathway not in (SLOW, FAST) or self.frame_index is None or self.grid_pos is None:
-                raise ValueError("content tokens need pathway, frame_index and grid_pos")
-        elif self.kind == SEPARATOR:
-            if not (self.pathway is None and self.frame_index is None and self.grid_pos is None):
-                raise ValueError("separator tokens carry no metadata")
-        else:
-            raise ValueError(f"unknown token kind {self.kind!r}")
-
-    @staticmethod
-    def content(pathway: str, frame_index: int, row: int, col: int) -> "TokenRecord":
-        return TokenRecord(CONTENT, pathway, frame_index, (row, col))
-
-    @staticmethod
-    def separator() -> "TokenRecord":
-        return TokenRecord(SEPARATOR)
+SEPARATOR = TokenBlock("separator", None, 1, 1)
 
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """Ordered token records plus the config that produced them."""
+    """The config that produced a sequence, plus its blocks in token order."""
 
-    records: tuple[TokenRecord, ...]
     config: PathwayConfig
+    blocks: tuple[TokenBlock, ...]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TokenRecord]:
-        return iter(self.records)
-
-    @property
-    def content_count(self) -> int:
-        return sum(1 for r in self.records if r.kind == CONTENT)
+        return sum(block.rows * block.cols for block in self.blocks)
 
     @property
     def separator_count(self) -> int:
-        return sum(1 for r in self.records if r.kind == SEPARATOR)
+        return self.blocks.count(SEPARATOR)
+
+    @property
+    def content_count(self) -> int:
+        return len(self) - self.separator_count
 
     def layout_lines(self) -> list[str]:
         """Render one line per token: ``kind pathway frame row col``."""
         lines = []
-        for rec in self.records:
-            if rec.kind == SEPARATOR:
+        for block in self.blocks:
+            if block == SEPARATOR:
                 lines.append("SEP - - - -")
-            else:
-                row, col = rec.grid_pos
-                lines.append(f"TOK {rec.pathway} {rec.frame_index} {row} {col}")
+                continue
+            pathway, frame, rows, cols = block
+            lines.extend(
+                f"TOK {pathway} {frame} {row} {col}" for row in range(rows) for col in range(cols)
+            )
         return lines
 
 
@@ -162,106 +141,82 @@ def select_slow_frames(n_total: int, n_slow: int) -> list[int]:
     return [i * n_total // n_slow for i in range(n_slow)]
 
 
-def slow_frame_indices(cfg: PathwayConfig) -> list[int]:
-    return select_slow_frames(cfg.n_total, cfg.n_slow)
-
-
 def fast_frame_indices(cfg: PathwayConfig) -> list[int]:
     """Frames the fast stream covers: all of them, or the slow complement."""
     if cfg.arrangement is Arrangement.GSF:
         return list(range(cfg.n_total))
-    slow = set(slow_frame_indices(cfg))
+    slow = set(select_slow_frames(cfg.n_total, cfg.n_slow))
     return [i for i in range(cfg.n_total) if i not in slow]
 
 
-def _check_frames(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
+def _check_count(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
     if len(frames) != cfg.n_total:
         raise ValueError(f"expected {cfg.n_total} frames, got {len(frames)}")
-    shape = frames[0].shape
-    for f in frames[1:]:
-        if f.shape != shape:
-            raise ValueError("all frames must share one shape")
 
 
 def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
     """Pool the selected slow frames with the configured strides."""
-    _check_frames(frames, cfg)
+    _check_count(frames, cfg)
     return [
-        avg_pool_strided(frames[i], cfg.stride_h, cfg.stride_w) for i in slow_frame_indices(cfg)
+        avg_pool_strided(frames[i], cfg.stride_h, cfg.stride_w)
+        for i in select_slow_frames(cfg.n_total, cfg.n_slow)
     ]
 
 
 def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
     """Adaptively pool the fast frames down to the fast target grid."""
-    _check_frames(frames, cfg)
+    _check_count(frames, cfg)
     return [
         avg_pool_adaptive(frames[i], cfg.fast_rows, cfg.fast_cols)
         for i in fast_frame_indices(cfg)
     ]
 
 
-def _frame_tokens(pathway: str, frame_index: int, grid: FrameGrid) -> Iterator[TokenRecord]:
-    # Row-major flattening; one token per grid cell, channel count irrelevant.
-    for row in range(grid.rows):
-        for col in range(grid.cols):
-            yield TokenRecord.content(pathway, frame_index, row, col)
+Pairs = Iterable[tuple[int, FrameGrid]]  # (frame index, pooled grid), ascending
 
 
-def arrange_gsf(
-    slow: Iterable[tuple[int, FrameGrid]],
-    fast: Iterable[tuple[int, FrameGrid]],
-    cfg: PathwayConfig,
-) -> TokenSequence:
-    """Arrange tokens grouped: slow block, one separator, fast block.
+def _arrange(slow: Pairs, fast: Pairs, cfg: PathwayConfig, order: Arrangement) -> TokenSequence:
+    if cfg.arrangement is not order:
+        raise ValueError(f"a {cfg.arrangement.value} config cannot be arranged {order.value}")
+    slow_blocks = [TokenBlock("slow", frame, grid.rows, grid.cols) for frame, grid in slow]
+    fast_blocks = [TokenBlock("fast", frame, grid.rows, grid.cols) for frame, grid in fast]
+    got = ([b.frame for b in slow_blocks], [b.frame for b in fast_blocks])
+    want = (select_slow_frames(cfg.n_total, cfg.n_slow), fast_frame_indices(cfg))
+    if got != want:
+        raise PartitionViolation(f"(slow, fast) frames are {got}, want {want}")
 
-    Both blocks are emitted in ascending (frame, row, col) order. The
-    separator is present even when the slow block is empty.
-    """
-    records: list[TokenRecord] = []
-    for frame_index, grid in sorted(slow, key=lambda pair: pair[0]):
-        records.extend(_frame_tokens(SLOW, frame_index, grid))
-    records.append(TokenRecord.separator())
-    for frame_index, grid in sorted(fast, key=lambda pair: pair[0]):
-        records.extend(_frame_tokens(FAST, frame_index, grid))
-    return TokenSequence(tuple(records), cfg)
+    if order is Arrangement.GSF:
+        blocks = (*slow_blocks, SEPARATOR, *fast_blocks)
+    else:
+        by_frame = sorted(slow_blocks + fast_blocks, key=lambda block: block.frame)
+        blocks = tuple(b for block in by_frame for b in (block, SEPARATOR))
+    return TokenSequence(cfg, blocks)
 
 
-def arrange_isf(
-    slow: Iterable[tuple[int, FrameGrid]],
-    fast: Iterable[tuple[int, FrameGrid]],
-    cfg: PathwayConfig,
-) -> TokenSequence:
-    """Arrange tokens interleaved by frame, one separator after each frame.
-
-    The slow and fast frame sets must partition ``[0, n_total)``: every
-    frame appears in exactly one stream.
+def arrange_gsf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
+    """Arrange grouped: slow frames, one separator (always), every frame fast.
 
     Raises:
-        PartitionViolation: If the sets overlap or miss a frame.
+        PartitionViolation: Unless the slow frames are the slow selection
+            and the fast frames ``fast_frame_indices(cfg)``, each in order.
     """
-    by_frame: dict[int, tuple[str, FrameGrid]] = {}
-    for pathway, pairs in ((SLOW, slow), (FAST, fast)):
-        for frame_index, grid in pairs:
-            if frame_index in by_frame:
-                raise PartitionViolation(f"frame {frame_index} assigned to both streams")
-            by_frame[frame_index] = (pathway, grid)
-    missing = [i for i in range(cfg.n_total) if i not in by_frame]
-    if missing or len(by_frame) != cfg.n_total:
-        extra = sorted(set(by_frame) - set(range(cfg.n_total)))
-        raise PartitionViolation(f"frames missing {missing} or out of range {extra}")
+    return _arrange(slow, fast, cfg, Arrangement.GSF)
 
-    records: list[TokenRecord] = []
-    for frame_index in range(cfg.n_total):
-        pathway, grid = by_frame[frame_index]
-        records.extend(_frame_tokens(pathway, frame_index, grid))
-        records.append(TokenRecord.separator())
-    return TokenSequence(tuple(records), cfg)
+
+def arrange_isf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
+    """Arrange interleaved: frames in time order, a separator after each.
+
+    Raises ``PartitionViolation`` as ``arrange_gsf`` does, so every frame is
+    in exactly one stream.
+    """
+    return _arrange(slow, fast, cfg, Arrangement.ISF)
 
 
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
     """Run both streams over ``frames`` and arrange the combined sequence."""
-    slow_pairs = list(zip(slow_frame_indices(cfg), run_slow_pathway(frames, cfg)))
-    fast_pairs = list(zip(fast_frame_indices(cfg), run_fast_pathway(frames, cfg)))
-    if cfg.arrangement is Arrangement.GSF:
-        return arrange_gsf(slow_pairs, fast_pairs, cfg)
-    return arrange_isf(slow_pairs, fast_pairs, cfg)
+    if len({frame.shape for frame in frames}) > 1:
+        raise ValueError("all frames must share one shape")
+    slow = zip(select_slow_frames(cfg.n_total, cfg.n_slow), run_slow_pathway(frames, cfg))
+    fast = zip(fast_frame_indices(cfg), run_fast_pathway(frames, cfg))
+    arrange = arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf
+    return arrange(slow, fast, cfg)

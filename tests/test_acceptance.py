@@ -35,6 +35,7 @@ from sftokens import (
 )
 from sftokens import cli, selfcheck
 from sftokens.geometry import PatchGrid
+from sftokens.projector import SEPARATOR
 
 DATA = Path(__file__).parent / "data"
 
@@ -172,7 +173,9 @@ def test_arrangement_laws():
         assert len(seq_i) == (
             n_slow * slow_per_frame + (n_total - n_slow) * fast_per_frame + n_total
         )
-        content_frames = [r.frame_index for r in seq_i.records if r.kind == "content"]
+        content_frames = [
+            b.frame for b in seq_i.blocks for _ in range(b.rows * b.cols) if b != SEPARATOR
+        ]
         assert sorted(set(content_frames)) == list(range(n_total))
         assert content_frames == sorted(content_frames)
         assert seq_g.content_count - seq_i.content_count == n_slow * fast_per_frame

@@ -96,6 +96,9 @@ class TestPlanResize:
         assert (plan.target.height, plan.target.width) == (480, 480)
 
 
+NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
+
+
 class TestPatchGrid:
     def test_table_grid(self):
         plan = plan_resize(Resolution(480, 480), VIDEO_BAND, 16)
@@ -108,6 +111,18 @@ class TestPatchGrid:
     def test_single_patch(self):
         plan = plan_resize(Resolution(16, 16), AreaThresholds(0, 480 * 480), 16)
         assert patch_grid(plan) == PatchGrid(1, 1)
+
+    def test_numpy_integers_stored_as_int(self):
+        grid = PatchGrid(np.int64(30), np.uint8(22))
+        assert (grid.rows, grid.cols) == (30, 22)
+        assert type(grid.rows) is int and type(grid.cols) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["rows", "cols"]), NOT_AN_INTEGER)
+    def test_non_integers_rejected_by_name(self, field, value):
+        sides = {"rows": 30, "cols": 30, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PatchGrid(**sides)
 
 
 class TestSampleFrames:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftokens import (
     Arrangement,
@@ -13,7 +15,7 @@ from sftokens import (
     PartitionViolation,
     PatchGrid,
     PathwayConfig,
-    TokenRecord,
+    TokenBlock,
     arrange_gsf,
     arrange_isf,
     fast_frame_indices,
@@ -21,9 +23,11 @@ from sftokens import (
     run_fast_pathway,
     run_slow_pathway,
     select_slow_frames,
-    slow_frame_indices,
+    stage_two_defaults,
     synth_features,
+    video_budget,
 )
+from sftokens.projector import SEPARATOR
 
 
 def make_frames(n, rows, cols, channels=1):
@@ -53,6 +57,26 @@ class TestConfig:
     def test_arrangement_accepts_string(self):
         cfg = PathwayConfig(n_total=4, n_slow=2, arrangement="ISF")
         assert cfg.arrangement is Arrangement.ISF
+
+    def test_n_separators_follows_arrangement(self):
+        gsf = PathwayConfig(n_total=128, n_slow=32)
+        assert gsf.n_separators == 1
+        assert replace(gsf, arrangement=Arrangement.ISF).n_separators == 128
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = PathwayConfig(n_total=np.int64(8), n_slow=np.int32(2), fast_rows=np.uint8(2))
+        assert (cfg.n_total, cfg.n_slow, cfg.fast_rows) == (8, 2, 2)
+        assert all(type(v) is int for v in (cfg.n_total, cfg.n_slow, cfg.fast_rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols"]),
+        st.one_of(st.floats(), st.booleans(), st.text()),
+    )
+    def test_non_integers_rejected_by_name(self, field, value):
+        fields = {"n_total": 4, "n_slow": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PathwayConfig(**fields)
 
 
 class TestSlowSelection:
@@ -115,7 +139,7 @@ class TestPathways:
         frames = make_frames(128, 30, 30)
         assert len(run_fast_pathway(frames, cfg)) == 96
         assert fast_frame_indices(cfg) == [
-            i for i in range(128) if i not in set(slow_frame_indices(cfg))
+            i for i in range(128) if i not in set(select_slow_frames(128, 32))
         ]
 
     def test_fast_identity_when_target_matches(self):
@@ -128,6 +152,13 @@ class TestPathways:
     def test_frame_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             run_slow_pathway(make_frames(3, 4, 4), PathwayConfig(n_total=4, n_slow=2))
+        with pytest.raises(ValueError):
+            run_fast_pathway(make_frames(5, 4, 4), PathwayConfig(n_total=4, n_slow=2))
+
+    def test_mixed_frame_shapes_rejected(self):
+        frames = make_frames(3, 4, 4) + make_frames(1, 2, 2)
+        with pytest.raises(ValueError, match="share one shape"):
+            project_video(frames, PathwayConfig(n_total=4, n_slow=2, fast_rows=2, fast_cols=2))
 
 
 class TestArrangeGsf:
@@ -140,22 +171,45 @@ class TestArrangeGsf:
     def test_empty_slow_starts_with_separator(self):
         cfg = PathwayConfig(n_total=2, n_slow=0, fast_rows=1, fast_cols=1)
         seq = project_video(make_frames(2, 2, 2), cfg)
-        assert seq.records[0].kind == "separator"
+        assert seq.blocks[0] == SEPARATOR
+        assert seq.layout_lines()[0] == "SEP - - - -"
         assert seq.content_count == 2
 
     def test_smallest_case_layout(self):
         cfg = PathwayConfig(n_total=1, n_slow=1, stride_h=1, stride_w=1, fast_rows=1, fast_cols=1)
         seq = project_video([FrameGrid(np.ones((1, 1)))], cfg)
-        assert seq.records == (
-            TokenRecord.content("slow", 0, 0, 0),
-            TokenRecord.separator(),
-            TokenRecord.content("fast", 0, 0, 0),
+        assert seq.blocks == (
+            TokenBlock("slow", 0, 1, 1),
+            SEPARATOR,
+            TokenBlock("fast", 0, 1, 1),
         )
+        assert seq.layout_lines() == ["TOK slow 0 0 0", "SEP - - - -", "TOK fast 0 0 0"]
+
+    def test_mismatched_frames_raise(self):
+        grid = FrameGrid(np.ones((1, 1)))
+        cfg = PathwayConfig(n_total=3, n_slow=1, fast_rows=1, fast_cols=1)
+        every = [(0, grid), (1, grid), (2, grid)]
+        with pytest.raises(PartitionViolation):
+            arrange_gsf([(1, grid)], every, cfg)  # not the slow selection
+        with pytest.raises(PartitionViolation):
+            arrange_gsf([(0, grid)], every[:2], cfg)  # a fast frame missing
+        with pytest.raises(PartitionViolation):
+            arrange_gsf([(0, grid)], every[::-1], cfg)  # fast frames out of order
+        with pytest.raises(PartitionViolation):
+            arrange_gsf([(0, grid)], every + [(3, grid)], cfg)  # a frame out of range
+
+    def test_config_must_match_entry_point(self):
+        grid = FrameGrid(np.ones((1, 1)))
+        cfg = PathwayConfig(n_total=1, n_slow=1, fast_rows=1, fast_cols=1)
+        with pytest.raises(ValueError):
+            arrange_isf([(0, grid)], [], cfg)
+        with pytest.raises(ValueError):
+            arrange_gsf([(0, grid)], [], replace(cfg, arrangement=Arrangement.ISF))
 
     def test_block_order_slow_then_fast(self):
         seq = project_video(make_frames(4, 2, 2), replace(MINI, n_total=4, n_slow=2))
-        kinds = [(r.kind, r.pathway) for r in seq.records]
-        sep_at = kinds.index(("separator", None))
+        kinds = [line.split()[:2] for line in seq.layout_lines()]
+        sep_at = kinds.index(["SEP", "-"])
         assert all(p == "slow" for _, p in kinds[:sep_at])
         assert all(p == "fast" for _, p in kinds[sep_at + 1:])
 
@@ -171,12 +225,15 @@ class TestArrangeIsf:
     def test_two_frame_miniature(self):
         cfg = replace(MINI, arrangement=Arrangement.ISF)
         seq = project_video(make_frames(2, 2, 2), cfg)
-        assert seq.records == (
-            TokenRecord.content("slow", 0, 0, 0),
-            TokenRecord.separator(),
-            TokenRecord.content("fast", 1, 0, 0),
-            TokenRecord.separator(),
+        assert seq.blocks == (
+            TokenBlock("slow", 0, 1, 1),
+            SEPARATOR,
+            TokenBlock("fast", 1, 1, 1),
+            SEPARATOR,
         )
+        assert seq.layout_lines() == [
+            "TOK slow 0 0 0", "SEP - - - -", "TOK fast 1 0 0", "SEP - - - -",
+        ]
 
     def test_all_slow_one_separator_each(self):
         cfg = PathwayConfig(
@@ -205,24 +262,8 @@ class TestArrangeIsf:
         cfg = PathwayConfig(n_total=9, n_slow=4, stride_h=2, stride_w=2,
                             fast_rows=2, fast_cols=2, arrangement=Arrangement.ISF)
         seq = project_video(make_frames(9, 4, 4), cfg)
-        frames = [r.frame_index for r in seq.records if r.kind == "content"]
+        frames = [int(line.split()[2]) for line in seq.layout_lines() if line.startswith("TOK")]
         assert frames == sorted(frames)
-
-
-class TestTokenRecords:
-    def test_content_requires_metadata(self):
-        with pytest.raises(ValueError):
-            TokenRecord("content", pathway="slow", frame_index=None, grid_pos=(0, 0))
-        with pytest.raises(ValueError):
-            TokenRecord("content", pathway="sideways", frame_index=0, grid_pos=(0, 0))
-
-    def test_separator_carries_nothing(self):
-        with pytest.raises(ValueError):
-            TokenRecord("separator", pathway="slow")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TokenRecord("decoration")
 
 
 class TestLayoutExport:
@@ -280,7 +321,7 @@ class TestArrangementLaws:
                 n_slow * slow_per_frame + (n_total - n_slow) * fast_per_frame + n_total
             )
             covered = sorted(
-                {r.frame_index for r in seq_i.records if r.kind == "content"}
+                {b.frame for b in seq_i.blocks for _ in range(b.rows * b.cols) if b != SEPARATOR}
             )
             assert covered == list(range(n_total))
             assert seq_g.content_count - seq_i.content_count == n_slow * fast_per_frame
@@ -289,3 +330,50 @@ class TestArrangementLaws:
         frames = make_frames(6, 4, 4, channels=2)
         cfg = PathwayConfig(n_total=6, n_slow=2, fast_rows=2, fast_cols=2)
         assert project_video(frames, cfg) == project_video(frames, cfg)
+
+
+@st.composite
+def _layout_case(draw):
+    stride_h, stride_w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = stride_h * draw(st.integers(1, 64 // stride_h))
+    cols = stride_w * draw(st.integers(1, 64 // stride_w))
+    n_total = draw(st.integers(1, 512))
+    cfg = PathwayConfig(
+        n_total=n_total,
+        n_slow=draw(st.integers(0, n_total)),
+        stride_h=stride_h,
+        stride_w=stride_w,
+        fast_rows=draw(st.integers(1, rows // stride_h)),
+        fast_cols=draw(st.integers(1, cols // stride_w)),
+        arrangement=draw(st.sampled_from(Arrangement)),
+    )
+    return cfg, PatchGrid(rows, cols)
+
+
+class TestLayoutProperty:
+    """Budget counts, sequence counts and rendered lines agree everywhere."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_layout_case())
+    def test_budget_blocks_and_lines_agree(self, case):
+        cfg, patch = case
+        frame = synth_features(0, patch, 1)
+        seq = project_video([frame] * cfg.n_total, cfg)
+        report = video_budget(cfg, patch, stage_two_defaults())
+
+        def tokens(pathway):
+            return sum(b.rows * b.cols for b in seq.blocks if b.pathway == pathway)
+
+        assert (tokens("slow"), tokens("fast"), seq.separator_count) == (
+            report.slow_tokens, report.fast_tokens, report.separator_tokens,
+        )
+        assert seq.content_count == report.content_tokens
+        assert len(seq) == len(seq.layout_lines()) == report.total_tokens
+
+        content = [b.frame for b in seq.blocks if b != SEPARATOR]
+        if cfg.arrangement is Arrangement.ISF:
+            assert content == list(range(cfg.n_total))
+            assert seq.blocks[1::2] == (SEPARATOR,) * cfg.n_total
+        else:
+            pathways = [b.pathway for b in seq.blocks]
+            assert pathways == ["slow"] * cfg.n_slow + ["separator"] + ["fast"] * cfg.n_total
