@@ -4,7 +4,14 @@ Plans how a video or image becomes visual tokens: fixed-rate frame
 sampling with a uniform fallback, patch-aligned native-resolution resizes,
 slow/fast pooling of per-frame feature grids, token arrangement with
 separators, and context-window budget reports.
+
+Planning needs no numpy: ``geometry``, ``budget``, ``config``,
+``PathwayConfig``, the block layout and ``sft plan``/``sweep`` never import
+it. The kernels, ``synth_features``, ``selfcheck``, the pathways' pooling
+and ``sft arrange``/``check`` load it on first use.
 """
+
+import importlib
 
 from .budget import (
     DEFAULT_TEXT_ALLOWANCE,
@@ -40,16 +47,6 @@ from .geometry import (
     plan_resize,
     sample_frames,
 )
-from .kernels import (
-    FrameGrid,
-    avg_pool_adaptive,
-    avg_pool_strided,
-    bilinear_resample,
-    naive_avg_pool_adaptive,
-    naive_avg_pool_strided,
-    naive_bilinear_resample,
-    synth_features,
-)
 from .projector import (
     DEFAULT_VIDEO_CONFIG,
     Arrangement,
@@ -66,6 +63,22 @@ from .projector import (
 )
 
 __version__ = "0.1.0"
+
+_KERNEL_NAMES = {
+    "FrameGrid", "avg_pool_adaptive", "avg_pool_strided", "bilinear_resample",
+    "naive_avg_pool_adaptive", "naive_avg_pool_strided", "naive_bilinear_resample",
+    "synth_features",
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only for names not bound yet, so numpy loads on first use.
+    if name in ("kernels", "selfcheck"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _KERNEL_NAMES:
+        return getattr(importlib.import_module(".kernels", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AreaThresholds",

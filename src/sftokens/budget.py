@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import InvalidOutputShape, NonDivisibleStride
-from .geometry import AreaThresholds, PatchGrid, Resolution, patch_grid, plan_resize
+from .geometry import AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize
 from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig
 
 DEFAULT_TEXT_ALLOWANCE = 512
@@ -45,6 +45,16 @@ class StageConfig:
     def __post_init__(self) -> None:
         if self.stage not in (STAGE_ONE, STAGE_TWO):
             raise ValueError(f"stage must be {STAGE_ONE!r} or {STAGE_TWO!r}, got {self.stage!r}")
+        required = ("context_length", "min_image_area", "max_image_area", "base_image_side", "patch")
+        for name in required + ("video_min_area", "video_max_area", "max_frames"):
+            value = getattr(self, name)
+            if type(value) is not int and (value is not None or name in required):
+                object.__setattr__(self, name, as_count(name, value))
+        if (self.video_min_area is None) != (self.video_max_area is None):
+            raise ValueError(
+                "video_min_area and video_max_area must be set together, got "
+                f"video_min_area={self.video_min_area}, video_max_area={self.video_max_area}"
+            )
         if self.context_length < 1:
             raise ValueError("context_length must be positive")
         if self.patch < 1:

@@ -14,10 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import budget, config as cfgmod, selfcheck
+from . import budget, config as cfgmod
 from .errors import ConfigError, DegenerateResize, InvalidOutputShape, NonDivisibleStride, PartitionViolation
 from .geometry import PatchGrid, Resolution
-from .kernels import synth_features
 from .projector import project_video
 
 _GREEN = "\033[32m"
@@ -184,6 +183,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_arrange(args) -> int:
+    from .kernels import synth_features  # numpy loads only for the commands that pool
+
     doc = cfgmod.load_config(args.config, args.overrides)
     pathway = cfgmod.pathway_from_config(doc)
     if "grid_rows" in doc or "grid_cols" in doc:
@@ -209,6 +210,8 @@ def _cmd_arrange(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import selfcheck
+
     results = selfcheck.run_checks(seed=args.seed)
     lines = []
     for res in results:

@@ -45,6 +45,9 @@ class Resolution:
     width: int
 
     def __post_init__(self) -> None:
+        if type(self.height) is not int or type(self.width) is not int:
+            object.__setattr__(self, "height", as_count("height", self.height))
+            object.__setattr__(self, "width", as_count("width", self.width))
         if self.height < 1 or self.width < 1:
             raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
 
@@ -66,6 +69,9 @@ class AreaThresholds:
     max_area: int
 
     def __post_init__(self) -> None:
+        if type(self.min_area) is not int or type(self.max_area) is not int:
+            object.__setattr__(self, "min_area", as_count("min_area", self.min_area))
+            object.__setattr__(self, "max_area", as_count("max_area", self.max_area))
         if self.min_area < 0:
             raise ValueError(f"min_area must be non-negative, got {self.min_area}")
         if self.min_area >= self.max_area:

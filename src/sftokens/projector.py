@@ -10,18 +10,22 @@ each closed by a separator).
 These rules live only here. A sequence is a tuple of blocks, one per
 pooled frame or separator; a frame's tokens are its grid cells in
 row-major order, spelled out only by ``layout_lines``. Identical inputs
-always produce identical sequences.
+always produce identical sequences. Nothing here needs numpy until a
+pathway pools, so the budget can import this module without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCount, PartitionViolation
 from .geometry import as_count
-from .kernels import FrameGrid, avg_pool_adaptive, avg_pool_strided
+
+if TYPE_CHECKING:
+    from .kernels import FrameGrid
+
 
 class Arrangement(str, Enum):
     """Token ordering of the combined sequence."""
@@ -156,6 +160,8 @@ def _check_count(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
 
 def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
     """Pool the selected slow frames with the configured strides."""
+    from .kernels import avg_pool_strided  # numpy loads on first pooling, not on import
+
     _check_count(frames, cfg)
     return [
         avg_pool_strided(frames[i], cfg.stride_h, cfg.stride_w)
@@ -165,6 +171,8 @@ def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[Fr
 
 def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
     """Adaptively pool the fast frames down to the fast target grid."""
+    from .kernels import avg_pool_adaptive
+
     _check_count(frames, cfg)
     return [
         avg_pool_adaptive(frames[i], cfg.fast_rows, cfg.fast_cols)
@@ -172,7 +180,7 @@ def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[Fr
     ]
 
 
-Pairs = Iterable[tuple[int, FrameGrid]]  # (frame index, pooled grid), ascending
+Pairs = Iterable[tuple[int, "FrameGrid"]]  # (frame index, pooled grid), ascending
 
 
 def _arrange(slow: Pairs, fast: Pairs, cfg: PathwayConfig, order: Arrangement) -> TokenSequence:

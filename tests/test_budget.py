@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftokens import (
     Arrangement,
@@ -180,6 +182,28 @@ class TestStageConfig:
     def test_video_thresholds_on_image_stage_raise(self):
         with pytest.raises(ValueError):
             stage_one_defaults().video_thresholds()
+
+    @pytest.mark.parametrize("unset", ["video_min_area", "video_max_area"])
+    def test_half_set_video_band_rejected(self, unset):
+        with pytest.raises(ValueError, match="video_min_area and video_max_area must be set together"):
+            replace(STAGE2, **{unset: None})
+
+    def test_numpy_integers_stored_as_int(self):
+        stage = replace(STAGE2, context_length=np.int64(16384), max_frames=np.uint8(128),
+                        video_min_area=np.int32(288 * 288))
+        values = (stage.context_length, stage.max_frames, stage.video_min_area)
+        assert values == (16384, 128, 288 * 288)
+        assert all(type(v) is int for v in values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["context_length", "min_image_area", "max_image_area", "base_image_side",
+                         "patch", "video_min_area", "video_max_area", "max_frames"]),
+        st.one_of(st.floats(), st.booleans(), st.text()),
+    )
+    def test_non_integers_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(STAGE2, **{field: value})
 
 
 class TestValidateStage:

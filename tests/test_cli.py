@@ -66,6 +66,13 @@ class TestPlan:
         assert code == 1
         assert "n_slowish" in err
 
+    def test_half_set_video_band_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plan", "--config", "table1_stage2.cfg", "--set", "video_max_area=null"
+        )
+        assert (code, out) == (1, "")
+        assert "video_min_area and video_max_area must be set together" in err
+
     def test_image_plan_has_no_csv_form(self, capsys):
         code, _, err = run_cli(
             capsys, "plan", "--config", "table1_stage1.cfg", "--format", "csv"

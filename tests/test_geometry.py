@@ -22,6 +22,7 @@ from sftokens import (
 )
 
 VIDEO_BAND = AreaThresholds(288 * 288, 480 * 480)
+NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
 
 
 class TestTypes:
@@ -44,6 +45,23 @@ class TestTypes:
 
     def test_patch_grid_tokens(self):
         assert PatchGrid(30, 30).tokens == 900
+
+    def test_numpy_integers_stored_as_int(self):
+        res = Resolution(np.int64(480), np.uint16(640))
+        band = AreaThresholds(np.int32(0), np.int64(480 * 480))
+        values = (res.height, res.width, band.min_area, band.max_area)
+        assert values == (480, 640, 0, 480 * 480)
+        assert all(type(v) is int for v in values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["height", "width", "min_area", "max_area"]), NOT_AN_INTEGER)
+    def test_non_integers_rejected_by_name(self, field, value):
+        if field in ("height", "width"):
+            cls, fields = Resolution, {"height": 480, "width": 640}
+        else:
+            cls, fields = AreaThresholds, {"min_area": 0, "max_area": 100}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cls(**{**fields, field: value})
 
 
 class TestComputeScale:
@@ -94,9 +112,6 @@ class TestPlanResize:
         # evaluation rounds just below and floors to 464.
         plan = plan_resize(Resolution(2827, 2827), VIDEO_BAND, 16)
         assert (plan.target.height, plan.target.width) == (480, 480)
-
-
-NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
 
 
 class TestPatchGrid:

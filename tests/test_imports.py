@@ -1,0 +1,112 @@
+"""Import cost: planning runs without numpy; numpy-backed names load on use."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sftokens
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_LAYOUT = ROOT / "tests" / "data" / "gsf_miniature_layout.txt"
+
+PLANNING_COMMANDS = [
+    ["plan"],
+    ["plan", "--set", "n_slow=128", "--set", "arrangement=ISF"],
+    ["plan", "--config", "table1_stage1.cfg", "--format", "text"],
+    ["sweep", "--config", "table4.cfg"],
+    ["sweep", "--config", "table5.cfg", "--format", "json"],
+]
+
+# Runs each command through cli.main and prints [[exit code, stdout], ...].
+# With "block", sys.modules["numpy"] = None makes every numpy import fail.
+CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import sftokens
+from sftokens.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def child_env() -> dict:
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), "SFT_NO_COLOR": "1"}
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+
+
+def planning_results(mode: str) -> list:
+    done = run_python("-c", CHILD, mode, json.dumps(PLANNING_COMMANDS))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_planning_runs_with_numpy_absent():
+    blocked = planning_results("block")
+    assert blocked == planning_results("normal")
+    assert [code for code, _ in blocked] == [0, 2, 0, 0, 0]
+    assert json.loads(blocked[0][1])["content_tokens"] == 9248
+
+
+def test_every_public_name_resolves():
+    assert [name for name in sftokens.__all__ if not hasattr(sftokens, name)] == []
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from sftokens import *", namespace)
+    assert set(sftokens.__all__) <= set(namespace)
+    assert namespace["FrameGrid"] is sftokens.kernels.FrameGrid
+
+
+def test_numpy_backed_submodules_resolve():
+    assert sftokens.kernels.__name__ == "sftokens.kernels"
+    assert sftokens.selfcheck.__name__ == "sftokens.selfcheck"
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sftokens.no_such_name  # noqa: B018
+
+
+def test_arrange_and_check_in_a_fresh_process():
+    arrange = run_python(
+        "-m", "sftokens", "arrange", "--set", "n_total=2", "--set", "n_slow=1",
+        "--set", "grid_rows=2", "--set", "grid_cols=2", "--set", "fast_rows=1",
+        "--set", "fast_cols=1",
+    )
+    assert (arrange.returncode, arrange.stdout) == (0, GOLDEN_LAYOUT.read_text())
+    check = run_python("-m", "sftokens", "check")
+    assert check.returncode == 0, check.stdout
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [
+        ("cli", "project_video"),
+        ("projector", "run_slow_pathway"),
+        ("projector", "run_fast_pathway"),
+        ("projector", "arrange_gsf"),
+        ("projector", "arrange_isf"),
+        ("config", "load_config"),
+    ],
+)
+def test_traced_names_stay_module_attributes(module, attr):
+    # The benchmark's traced runs swap these attributes for recording wrappers.
+    __import__(f"sftokens.{module}")
+    assert callable(getattr(getattr(sftokens, module), attr))
