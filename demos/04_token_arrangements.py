@@ -11,6 +11,7 @@ from sftokens import (
     Arrangement,
     PatchGrid,
     PathwayConfig,
+    plan_layout,
     project_video,
     select_slow_frames,
     synth_features,
@@ -32,11 +33,11 @@ for arrangement in (Arrangement.GSF, Arrangement.ISF):
 
 # At deployment shape (128 frames, 30x30 grid) the two arrangements differ
 # by the slow frames' worth of fast tokens: GSF covers every frame in the
-# fast stream, ISF only the frames the slow stream skipped.
+# fast stream, ISF only the frames the slow stream skipped. plan_layout
+# builds the same sequence as project_video from the patch grid alone.
 big = PathwayConfig(n_total=128, n_slow=32)
-frames = [synth_features(i, PatchGrid(30, 30), 1) for i in range(128)]
-gsf = project_video(frames, big)
-isf = project_video(frames, replace(big, arrangement=Arrangement.ISF))
+gsf = plan_layout(big, PatchGrid(30, 30))
+isf = plan_layout(replace(big, arrangement=Arrangement.ISF), PatchGrid(30, 30))
 print(f"deployment GSF: {gsf.content_count} content tokens, {gsf.separator_count} separator")
 print(f"deployment ISF: {isf.content_count} content tokens, {isf.separator_count} separators")
 print(f"difference: {gsf.content_count - isf.content_count} "

@@ -5,10 +5,10 @@ sampling with a uniform fallback, patch-aligned native-resolution resizes,
 slow/fast pooling of per-frame feature grids, token arrangement with
 separators, and context-window budget reports.
 
-Planning needs no numpy: ``geometry``, ``budget``, ``config``,
-``PathwayConfig``, the block layout and ``sft plan``/``sweep`` never import
-it. The kernels, ``synth_features``, ``selfcheck``, the pathways' pooling
-and ``sft arrange``/``check`` load it on first use.
+Planning needs no numpy: ``geometry``, ``budget``, ``config``, the block
+layout (``plan_layout``) and ``sft plan``/``sweep``/``arrange`` never
+import it. Only the kernels, ``synth_features``, ``selfcheck``, the
+pathways' pooling and ``sft check`` load it, on first use.
 """
 
 import importlib
@@ -56,6 +56,7 @@ from .projector import (
     arrange_gsf,
     arrange_isf,
     fast_frame_indices,
+    plan_layout,
     project_video,
     run_fast_pathway,
     run_slow_pathway,
@@ -115,6 +116,7 @@ __all__ = [
     "naive_avg_pool_strided",
     "naive_bilinear_resample",
     "patch_grid",
+    "plan_layout",
     "plan_resize",
     "project_video",
     "run_fast_pathway",

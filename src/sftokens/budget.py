@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import InvalidOutputShape, NonDivisibleStride
 from .geometry import AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize
-from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig
+from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, slow_grid
 
 DEFAULT_TEXT_ALLOWANCE = 512
 
@@ -157,15 +157,6 @@ def _report(
     )
 
 
-def slow_tokens_per_frame(cfg: PathwayConfig, grid: PatchGrid) -> int:
-    """Tokens one slow frame yields after strided pooling."""
-    if grid.rows % cfg.stride_h or grid.cols % cfg.stride_w:
-        raise NonDivisibleStride(
-            f"strides {cfg.stride_h}x{cfg.stride_w} do not divide grid {grid.rows}x{grid.cols}"
-        )
-    return (grid.rows // cfg.stride_h) * (grid.cols // cfg.stride_w)
-
-
 def video_budget(
     cfg: PathwayConfig,
     grid: PatchGrid,
@@ -175,15 +166,10 @@ def video_budget(
     """Count the tokens a video produces under ``cfg`` on per-frame ``grid``.
 
     Frame and separator counts come from ``cfg``, which owns the
-    arrangement rules. A budget that does not fit the context window is
-    reported, not raised.
+    arrangement rules, and ``slow_grid`` checks the fit. A budget that does
+    not fit the context window is reported, not raised.
     """
-    if cfg.n_fast > 0 and (cfg.fast_rows > grid.rows or cfg.fast_cols > grid.cols):
-        raise InvalidOutputShape(
-            f"fast grid {cfg.fast_rows}x{cfg.fast_cols} exceeds frame grid "
-            f"{grid.rows}x{grid.cols}"
-        )
-    slow = cfg.n_slow * slow_tokens_per_frame(cfg, grid) if cfg.n_slow else 0
+    slow = cfg.n_slow * math.prod(slow_grid(cfg, grid))
     fast = cfg.n_fast * cfg.fast_tokens_per_frame
     return _report(slow, fast, cfg.n_separators, stage.context_length, text_allowance)
 
@@ -317,7 +303,7 @@ def validate_stage(
                 f"exceed context {stage.context_length}"
             )
         if cfg.n_slow and cfg.n_fast:
-            slow_area = slow_tokens_per_frame(cfg, grid)
+            slow_area = math.prod(slow_grid(cfg, grid))
             if cfg.fast_tokens_per_frame >= slow_area:
                 findings.append(
                     f"fast grid ({cfg.fast_tokens_per_frame} tokens/frame) is not coarser "

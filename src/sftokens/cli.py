@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import budget, config as cfgmod
-from .errors import ConfigError, DegenerateResize, InvalidOutputShape, NonDivisibleStride, PartitionViolation
+from .errors import ConfigError
 from .geometry import PatchGrid, Resolution
-from .projector import project_video
+from .projector import plan_layout, project_video  # project_video: bench/ traces cli.project_video
 
 _GREEN = "\033[32m"
 _RED = "\033[31m"
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler, doc in (
         ("plan", _cmd_plan, "compute one token budget and report context fit"),
         ("sweep", _cmd_sweep, "compute budgets for every config row"),
-        ("arrange", _cmd_arrange, "emit the token layout for one config"),
+        ("arrange", _cmd_arrange, "emit the token layout for one config, planned without features"),
         ("check", _cmd_check, "run kernel oracles and golden sweep checks"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -116,26 +116,22 @@ def _cmd_plan(args) -> int:
 
     if stage.has_video:
         pathway = cfgmod.pathway_from_config(doc)
-        grid = budget.stage_video_grid(stage)
-        report = budget.video_budget(pathway, grid, stage, allowance)
-        if fmt == "csv":
-            text = budget.sweep_csv([pathway], [report])
-        elif fmt == "json":
-            text = json.dumps(report.to_json_dict(), indent=2)
-        else:
-            text = _plan_text(report, stage.context_length)
+        report = budget.video_budget(pathway, budget.stage_video_grid(stage), stage, allowance)
     else:
         # Image-only stage: budget the worst case, a max-area patch-aligned square.
         side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
         if side < stage.patch:
             raise ConfigError("max_image_area too small for one patch")
         report = budget.image_budget(Resolution(side, side), stage, allowance)
-        if fmt == "csv":
-            raise ConfigError("csv format applies to video plans only")
-        if fmt == "json":
-            text = json.dumps(report.to_json_dict(), indent=2)
-        else:
-            text = _plan_text(report, stage.context_length)
+
+    if fmt == "json":
+        text = json.dumps(report.to_json_dict(), indent=2)
+    elif fmt == "text":
+        text = _plan_text(report, stage.context_length)
+    elif stage.has_video:
+        text = budget.sweep_csv([pathway], [report])
+    else:
+        raise ConfigError("csv format applies to video plans only")
 
     _emit(text, args.out)
     return 0 if report.fits_context else 2
@@ -155,17 +151,11 @@ def _cmd_sweep(args) -> int:
     if fmt == "csv":
         text = budget.sweep_csv(configs, reports)
     elif fmt == "json":
-        rows = []
-        for label, cfg, rep in zip(labels, configs, reports):
-            row = {
-                "label": label,
-                "n_slow": cfg.n_slow,
-                "n_fast": cfg.n_fast,
-                "n_total": cfg.n_total,
-                "arrangement": cfg.arrangement.value,
-            }
-            row.update(rep.to_json_dict())
-            rows.append(row)
+        rows = [
+            {"label": label, "n_slow": cfg.n_slow, "n_fast": cfg.n_fast, "n_total": cfg.n_total,
+             "arrangement": cfg.arrangement.value, **rep.to_json_dict()}
+            for label, cfg, rep in zip(labels, configs, reports)
+        ]
         text = json.dumps(rows, indent=2)
     else:
         width = max(len(label) for label in labels)
@@ -183,8 +173,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_arrange(args) -> int:
-    from .kernels import synth_features  # numpy loads only for the commands that pool
-
     doc = cfgmod.load_config(args.config, args.overrides)
     pathway = cfgmod.pathway_from_config(doc)
     if "grid_rows" in doc or "grid_cols" in doc:
@@ -199,13 +187,10 @@ def _cmd_arrange(args) -> int:
         if not stage.has_video:
             raise ConfigError("arrange needs grid_rows/grid_cols or a video-capable stage")
         grid = budget.stage_video_grid(stage)
-    channels = doc.get("channels", 1)
+    channels = doc.get("channels", 1)  # accepted and checked; the layout does not depend on it
     if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
         raise ConfigError(f"channels must be a positive integer, got {channels!r}")
-
-    frames = [synth_features(i, grid, channels) for i in range(pathway.n_total)]
-    sequence = project_video(frames, pathway)
-    _emit("\n".join(sequence.layout_lines()), args.out)
+    _emit("\n".join(plan_layout(pathway, grid).layout_lines()), args.out)
     return 0
 
 
@@ -229,15 +214,7 @@ def main(argv=None) -> int:
             parser.print_help(sys.stderr)
             return 1
         return args.handler(args)
-    except (
-        ConfigError,
-        DegenerateResize,
-        NonDivisibleStride,
-        InvalidOutputShape,
-        PartitionViolation,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every sftokens error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

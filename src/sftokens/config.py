@@ -71,7 +71,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     fall back to plain strings.
 
     Raises:
-        ConfigError: On missing files, malformed JSON, or unknown keys.
+        ConfigError: On missing files, malformed JSON, unknown keys or a non-list ``sweep``.
     """
     doc: dict = {}
     if path is not None:
@@ -98,7 +98,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         doc[key] = value
 
     _check_keys(doc, "config")
-    for i, row in enumerate(doc.get("sweep") or []):
+    rows = doc.get("sweep", [])
+    if not isinstance(rows, list):
+        raise ConfigError("sweep must be a non-empty list of objects")
+    for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ConfigError(f"sweep row {i} must be an object")
         _check_keys(row, f"sweep row {i}")

@@ -9,9 +9,10 @@ each closed by a separator).
 
 These rules live only here. A sequence is a tuple of blocks, one per
 pooled frame or separator; a frame's tokens are its grid cells in
-row-major order, spelled out only by ``layout_lines``. Identical inputs
-always produce identical sequences. Nothing here needs numpy until a
-pathway pools, so the budget can import this module without it.
+row-major order, spelled out only by ``layout_lines``. ``plan_layout``
+builds the sequence ``project_video`` would from the patch grid alone.
+Identical inputs always produce identical sequences. Nothing here needs
+numpy until a pathway pools, so the budget can import this module without it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import InvalidCount, PartitionViolation
-from .geometry import as_count
+from .errors import InvalidCount, InvalidOutputShape, NonDivisibleStride, PartitionViolation
+from .geometry import PatchGrid, as_count
 
 if TYPE_CHECKING:
     from .kernels import FrameGrid
@@ -119,15 +120,16 @@ class TokenSequence:
 
     def layout_lines(self) -> list[str]:
         """Render one line per token: ``kind pathway frame row col``."""
-        lines = []
+        lines: list[str] = []
+        cells: dict[tuple[int, int], list[str]] = {}  # "row col" strings per block shape
         for block in self.blocks:
             if block == SEPARATOR:
                 lines.append("SEP - - - -")
                 continue
             pathway, frame, rows, cols = block
-            lines.extend(
-                f"TOK {pathway} {frame} {row} {col}" for row in range(rows) for col in range(cols)
-            )
+            if (rows, cols) not in cells:
+                cells[rows, cols] = [f"{row} {col}" for row in range(rows) for col in range(cols)]
+            lines.extend(map(f"TOK {pathway} {frame} ".__add__, cells[rows, cols]))
         return lines
 
 
@@ -151,6 +153,24 @@ def fast_frame_indices(cfg: PathwayConfig) -> list[int]:
         return list(range(cfg.n_total))
     slow = set(select_slow_frames(cfg.n_total, cfg.n_slow))
     return [i for i in range(cfg.n_total) if i not in slow]
+
+
+def slow_grid(cfg: PathwayConfig, grid: PatchGrid) -> tuple[int, int]:
+    """Check that ``cfg`` fits frames of ``grid``; return one slow frame's pooled grid.
+
+    Raises ``InvalidOutputShape`` if the fast stream runs and its grid exceeds
+    ``grid``, then ``NonDivisibleStride`` if the slow stream runs and its
+    strides do not divide ``grid``.
+    """
+    if cfg.n_fast > 0 and (cfg.fast_rows > grid.rows or cfg.fast_cols > grid.cols):
+        raise InvalidOutputShape(
+            f"fast grid {cfg.fast_rows}x{cfg.fast_cols} exceeds frame grid {grid.rows}x{grid.cols}"
+        )
+    if cfg.n_slow and (grid.rows % cfg.stride_h or grid.cols % cfg.stride_w):
+        raise NonDivisibleStride(
+            f"strides {cfg.stride_h}x{cfg.stride_w} do not divide grid {grid.rows}x{grid.cols}"
+        )
+    return grid.rows // cfg.stride_h, grid.cols // cfg.stride_w
 
 
 def _check_count(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
@@ -192,21 +212,33 @@ def _arrange(slow: Pairs, fast: Pairs, cfg: PathwayConfig, order: Arrangement) -
     want = (select_slow_frames(cfg.n_total, cfg.n_slow), fast_frame_indices(cfg))
     if got != want:
         raise PartitionViolation(f"(slow, fast) frames are {got}, want {want}")
+    return TokenSequence(cfg, _ordered(slow_blocks, fast_blocks, order))
 
+
+def _ordered(slow: list[TokenBlock], fast: list[TokenBlock], order: Arrangement) -> tuple:
     if order is Arrangement.GSF:
-        blocks = (*slow_blocks, SEPARATOR, *fast_blocks)
-    else:
-        by_frame = sorted(slow_blocks + fast_blocks, key=lambda block: block.frame)
-        blocks = tuple(b for block in by_frame for b in (block, SEPARATOR))
-    return TokenSequence(cfg, blocks)
+        return (*slow, SEPARATOR, *fast)
+    by_frame = sorted(slow + fast, key=lambda block: block.frame)
+    return tuple(b for block in by_frame for b in (block, SEPARATOR))
+
+
+def plan_layout(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
+    """The sequence ``project_video`` builds from frames of ``grid``, without pooling.
+
+    Raises ``InvalidOutputShape`` or ``NonDivisibleStride`` as ``slow_grid``
+    does, exactly when ``project_video`` would raise.
+    """
+    rows, cols = slow_grid(cfg, grid)
+    slow = [TokenBlock("slow", f, rows, cols) for f in select_slow_frames(cfg.n_total, cfg.n_slow)]
+    fast = [TokenBlock("fast", f, cfg.fast_rows, cfg.fast_cols) for f in fast_frame_indices(cfg)]
+    return TokenSequence(cfg, _ordered(slow, fast, cfg.arrangement))
 
 
 def arrange_gsf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
     """Arrange grouped: slow frames, one separator (always), every frame fast.
 
-    Raises:
-        PartitionViolation: Unless the slow frames are the slow selection
-            and the fast frames ``fast_frame_indices(cfg)``, each in order.
+    Raises ``PartitionViolation`` unless the slow frames are the slow
+    selection and the fast frames ``fast_frame_indices(cfg)``, each in order.
     """
     return _arrange(slow, fast, cfg, Arrangement.GSF)
 

@@ -126,6 +126,23 @@ class TestSweep:
         assert code == 1
         assert "n_slow" in err
 
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    @pytest.mark.parametrize("value", ["5", '"rows"', "true", "null", '{"n_slow":0}'])
+    def test_non_list_sweep_rejected(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "--set", f"sweep={value}")
+        assert (code, out) == (1, "")
+        assert err == "error: sweep must be a non-empty list of objects\n"
+
+    def test_non_list_sweep_in_a_file_exits_without_traceback(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(json.dumps({"sweep": 5}))
+        done = subprocess.run(
+            [sys.executable, "-m", "sftokens", "sweep", "--config", str(cfg)],
+            capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: sweep must be a non-empty list of objects\n"
+
 
 class TestArrange:
     MINI = ("--set", "n_total=2", "--set", "n_slow=1", "--set", "grid_rows=2",
@@ -170,6 +187,19 @@ class TestArrange:
         )
         assert code == 1
         assert "stride" in err.lower()
+
+    def test_oversized_fast_grid_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "arrange", "--set", "fast_rows=31")
+        assert (code, out) == (1, "")
+        assert err == "error: fast grid 31x4 exceeds frame grid 30x30\n"
+
+    def test_channels_checked_but_layout_unchanged(self, capsys):
+        _, default, _ = run_cli(capsys, "arrange", *self.MINI)
+        code, out, _ = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=7")
+        assert (code, out) == (0, default)
+        code, _, err = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=0")
+        assert code == 1
+        assert "channels" in err
 
 
 class TestCheck:

@@ -20,6 +20,19 @@ PLANNING_COMMANDS = [
     ["sweep", "--config", "table4.cfg"],
     ["sweep", "--config", "table5.cfg", "--format", "json"],
 ]
+MINIATURE = [
+    "arrange", "--set", "n_total=2", "--set", "n_slow=1", "--set", "grid_rows=2",
+    "--set", "grid_cols=2", "--set", "fast_rows=1", "--set", "fast_cols=1",
+]
+ARRANGE_COMMANDS = [
+    ["arrange"],
+    ["arrange", "--set", "arrangement=ISF"],
+    ["arrange", "--set", "n_slow=128", "--set", "arrangement=ISF"],
+    ["arrange", "--set", "n_slow=0"],
+    MINIATURE,
+    ["arrange", "--set", "grid_rows=5", "--set", "grid_cols=5",
+     "--set", "fast_rows=1", "--set", "fast_cols=1"],
+]
 
 # Runs each command through cli.main and prints [[exit code, stdout], ...].
 # With "block", sys.modules["numpy"] = None makes every numpy import fail.
@@ -50,17 +63,25 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def planning_results(mode: str) -> list:
-    done = run_python("-c", CHILD, mode, json.dumps(PLANNING_COMMANDS))
+def cli_results(mode: str, commands: list) -> list:
+    done = run_python("-c", CHILD, mode, json.dumps(commands))
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
 def test_planning_runs_with_numpy_absent():
-    blocked = planning_results("block")
-    assert blocked == planning_results("normal")
+    blocked = cli_results("block", PLANNING_COMMANDS)
+    assert blocked == cli_results("normal", PLANNING_COMMANDS)
     assert [code for code, _ in blocked] == [0, 2, 0, 0, 0]
     assert json.loads(blocked[0][1])["content_tokens"] == 9248
+
+
+def test_arrange_runs_with_numpy_absent():
+    blocked = cli_results("block", ARRANGE_COMMANDS)
+    assert blocked == cli_results("normal", ARRANGE_COMMANDS)
+    assert [code for code, _ in blocked] == [0, 0, 0, 0, 0, 1]
+    assert [len(out.splitlines()) for _, out in blocked[:4]] == [9249, 8864, 28928, 2049]
+    assert blocked[4][1] == GOLDEN_LAYOUT.read_text()
 
 
 def test_every_public_name_resolves():
@@ -85,11 +106,7 @@ def test_unknown_attribute_raises():
 
 
 def test_arrange_and_check_in_a_fresh_process():
-    arrange = run_python(
-        "-m", "sftokens", "arrange", "--set", "n_total=2", "--set", "n_slow=1",
-        "--set", "grid_rows=2", "--set", "grid_cols=2", "--set", "fast_rows=1",
-        "--set", "fast_cols=1",
-    )
+    arrange = run_python("-m", "sftokens", *MINIATURE)
     assert (arrange.returncode, arrange.stdout) == (0, GOLDEN_LAYOUT.read_text())
     check = run_python("-m", "sftokens", "check")
     assert check.returncode == 0, check.stdout

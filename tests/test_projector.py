@@ -12,6 +12,8 @@ from sftokens import (
     DEFAULT_VIDEO_CONFIG,
     FrameGrid,
     InvalidCount,
+    InvalidOutputShape,
+    NonDivisibleStride,
     PartitionViolation,
     PatchGrid,
     PathwayConfig,
@@ -19,6 +21,7 @@ from sftokens import (
     arrange_gsf,
     arrange_isf,
     fast_frame_indices,
+    plan_layout,
     project_video,
     run_fast_pathway,
     run_slow_pathway,
@@ -350,6 +353,30 @@ def _layout_case(draw):
     return cfg, PatchGrid(rows, cols)
 
 
+@st.composite
+def _misfit_case(draw):
+    """Any small grid and pathway, so strides may not divide and fast grids may not fit."""
+    n_total = draw(st.integers(1, 8))
+    cfg = PathwayConfig(
+        n_total=n_total,
+        n_slow=draw(st.sampled_from([0, n_total, draw(st.integers(0, n_total))])),
+        stride_h=draw(st.integers(1, 4)),
+        stride_w=draw(st.integers(1, 4)),
+        fast_rows=draw(st.integers(1, 10)),
+        fast_cols=draw(st.integers(1, 10)),
+        arrangement=draw(st.sampled_from(Arrangement)),
+    )
+    return cfg, PatchGrid(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+
+
+def _raised(call):
+    try:
+        call()
+    except (NonDivisibleStride, InvalidOutputShape) as exc:
+        return type(exc)
+    return None
+
+
 class TestLayoutProperty:
     """Budget counts, sequence counts and rendered lines agree everywhere."""
 
@@ -360,6 +387,7 @@ class TestLayoutProperty:
         frame = synth_features(0, patch, 1)
         seq = project_video([frame] * cfg.n_total, cfg)
         report = video_budget(cfg, patch, stage_two_defaults())
+        assert plan_layout(cfg, patch) == seq
 
         def tokens(pathway):
             return sum(b.rows * b.cols for b in seq.blocks if b.pathway == pathway)
@@ -377,3 +405,22 @@ class TestLayoutProperty:
         else:
             pathways = [b.pathway for b in seq.blocks]
             assert pathways == ["slow"] * cfg.n_slow + ["separator"] + ["fast"] * cfg.n_total
+
+    @settings(max_examples=300, deadline=None)
+    @given(_misfit_case())
+    def test_planner_and_budget_raise_when_pooling_does(self, case):
+        cfg, patch = case
+        frames = [synth_features(0, patch, 1)] * cfg.n_total
+        pooled = _raised(lambda: project_video(frames, cfg))
+        planned = _raised(lambda: plan_layout(cfg, patch))
+        budgeted = _raised(lambda: video_budget(cfg, patch, stage_two_defaults()))
+
+        slow_misfit = cfg.n_slow > 0 and bool(patch.rows % cfg.stride_h or patch.cols % cfg.stride_w)
+        fast_misfit = cfg.n_fast > 0 and (cfg.fast_rows > patch.rows or cfg.fast_cols > patch.cols)
+        raises = slow_misfit or fast_misfit
+        assert (pooled is not None, planned is not None, budgeted is not None) == (raises,) * 3
+        if slow_misfit != fast_misfit:
+            assert pooled is planned is budgeted
+            assert pooled is (NonDivisibleStride if slow_misfit else InvalidOutputShape)
+        if not raises:
+            assert plan_layout(cfg, patch) == project_video(frames, cfg)
