@@ -295,7 +295,7 @@ def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 12
     Args:
         duration: Clip length in seconds, strictly positive.
         target_fps: Sampling rate in frames per second, strictly positive.
-        max_frames: Frame cap, at least 1.
+        max_frames: Frame cap, an integer of at least 1.
 
     Returns:
         The sampling plan.
@@ -307,6 +307,8 @@ def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 12
         raise InvalidDuration(f"duration must be positive and finite, got {duration}")
     if not 0 < target_fps < math.inf:
         raise ValueError(f"target_fps must be positive and finite, got {target_fps}")
+    if type(max_frames) is not int:
+        max_frames = as_count("max_frames", max_frames)
     if max_frames < 1:
         raise ValueError(f"max_frames must be at least 1, got {max_frames}")
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidOutputShape, NonDivisibleStride
-from .geometry import PatchGrid
+from .geometry import PatchGrid, as_count
 
 _NATIVE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -85,22 +85,36 @@ def _fresh_grid(arr: np.ndarray) -> FrameGrid:
     return grid
 
 
-def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> None:
+def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, int]:
+    if type(stride_h) is not int or type(stride_w) is not int:
+        stride_h, stride_w = as_count("stride_h", stride_h), as_count("stride_w", stride_w)
     if stride_h < 1 or stride_w < 1:
         raise NonDivisibleStride(f"strides must be positive, got {stride_h}x{stride_w}")
     if grid.rows % stride_h or grid.cols % stride_w:
         raise NonDivisibleStride(
             f"strides {stride_h}x{stride_w} do not divide grid {grid.rows}x{grid.cols}"
         )
+    return stride_h, stride_w
 
 
-def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> None:
+def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int, int]:
+    if type(out_rows) is not int or type(out_cols) is not int:
+        out_rows, out_cols = as_count("out_rows", out_rows), as_count("out_cols", out_cols)
     if out_rows < 1 or out_cols < 1:
         raise InvalidOutputShape(f"output must be positive, got {out_rows}x{out_cols}")
     if out_rows > grid.rows or out_cols > grid.cols:
         raise InvalidOutputShape(
             f"output {out_rows}x{out_cols} exceeds input {grid.rows}x{grid.cols}"
         )
+    return out_rows, out_cols
+
+
+def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
+    if type(out_rows) is not int or type(out_cols) is not int:
+        out_rows, out_cols = as_count("out_rows", out_rows), as_count("out_cols", out_cols)
+    if out_rows < 1 or out_cols < 1:
+        raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
+    return out_rows, out_cols
 
 
 def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid:
@@ -109,16 +123,35 @@ def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid
     Strides must divide the grid dimensions exactly; the output is
     (rows/stride_h) x (cols/stride_w) and preserves the per-channel mean.
 
+    Sums accumulate in float64 in the order ``np.mean`` over the blocks of
+    the C-ordered grid adds them, so results are bit-identical to
+    ``v.reshape(rows // sh, sh, cols // sw, sw, C).mean(axis=(1, 3))`` on
+    the input widened to float64, whatever the input's memory layout. With
+    two or more channels that order is row-major over the block offsets:
+    every block's (0, 0) cell, then its (0, 1) cell, on to
+    (sh - 1, sw - 1), each offset added as one whole-grid strided slice.
+    A one-channel grid keeps numpy's reduction over the blocks of a
+    C-ordered grid: there each block row is contiguous, numpy's inner loop
+    runs along it, and its adds come in an order the slice adds would not
+    reproduce.
+
     Raises:
         NonDivisibleStride: If a stride does not divide its dimension.
+        ValueError: If a stride is not an integer.
     """
-    _check_strides(grid, stride_h, stride_w)
+    stride_h, stride_w = _check_strides(grid, stride_h, stride_w)
     v = grid.values
-    blocks = v.reshape(
-        grid.rows // stride_h, stride_h, grid.cols // stride_w, stride_w, grid.channels
-    )
-    # The two steps of np.mean, without its per-call overhead.
-    sums = np.add.reduce(blocks, axis=(1, 3), dtype=np.float64)
+    if grid.channels == 1:
+        blocks = np.ascontiguousarray(v).reshape(
+            grid.rows // stride_h, stride_h, grid.cols // stride_w, stride_w, 1
+        )
+        sums = np.add.reduce(blocks, axis=(1, 3), dtype=np.float64)
+    else:
+        sums = np.array(v[0::stride_h, 0::stride_w], dtype=np.float64)
+        for a in range(stride_h):
+            for b in range(stride_w):
+                if a or b:
+                    sums += v[a::stride_h, b::stride_w]
     sums /= stride_h * stride_w
     return _fresh_grid(sums)
 
@@ -179,8 +212,9 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
 
     Raises:
         InvalidOutputShape: If the target exceeds the input dimensions.
+        ValueError: If a target size is not an integer.
     """
-    _check_adaptive(grid, out_rows, out_cols)
+    out_rows, out_cols = _check_adaptive(grid, out_rows, out_cols)
     row_edges, row_starts, col_starts, counts = _adaptive_bins(
         grid.rows, grid.cols, out_rows, out_cols
     )
@@ -221,8 +255,7 @@ def bilinear_resample(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
     exactly on corner cells, and a size-1 output axis samples the midpoint.
     Resampling to the input's own shape reproduces it exactly.
     """
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
+    out_rows, out_cols = _check_resample(out_rows, out_cols)
     v = grid.values
     r_lo, r_hi, r_frac = _axis_taps(grid.rows, out_rows)
     c_lo, c_hi, c_frac = _axis_taps(grid.cols, out_cols)
@@ -272,7 +305,7 @@ def synth_features(frame_index: int, grid: PatchGrid, channels: int) -> FrameGri
 
 def naive_avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid:
     """Loop-oracle counterpart of ``avg_pool_strided``."""
-    _check_strides(grid, stride_h, stride_w)
+    stride_h, stride_w = _check_strides(grid, stride_h, stride_w)
     vals = grid.values.tolist()
     ch = grid.channels
     inv = 1.0 / (stride_h * stride_w)
@@ -294,7 +327,7 @@ def naive_avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> Fra
 
 def naive_avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGrid:
     """Loop-oracle counterpart of ``avg_pool_adaptive``."""
-    _check_adaptive(grid, out_rows, out_cols)
+    out_rows, out_cols = _check_adaptive(grid, out_rows, out_cols)
     vals = grid.values.tolist()
     ch = grid.channels
     row_edges = [i * grid.rows // out_rows for i in range(out_rows + 1)]
@@ -329,8 +362,7 @@ def _naive_axis_taps(n_in: int, n_out: int) -> list[tuple[int, int, float]]:
 
 def naive_bilinear_resample(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGrid:
     """Loop-oracle counterpart of ``bilinear_resample``."""
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
+    out_rows, out_cols = _check_resample(out_rows, out_cols)
     vals = grid.values.tolist()
     ch = grid.channels
     row_taps = _naive_axis_taps(grid.rows, out_rows)

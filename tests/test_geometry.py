@@ -176,6 +176,25 @@ class TestSampleFrames:
         with pytest.raises(ValueError):
             sample_frames(10.0, max_frames=0)
 
+    def test_cap_must_be_an_integer(self):
+        # 5 s fits a float cap of 128.0 and 500 s overflows it; both are
+        # rejected where they enter, as is a bool cap.
+        for duration, cap in ((5.0, 128.0), (500.0, 128.0), (5.0, True)):
+            with pytest.raises(ValueError, match="max_frames must be an integer"):
+                sample_frames(duration, 1.0, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(NOT_AN_INTEGER)
+    def test_non_integer_cap_rejected_by_name(self, cap):
+        with pytest.raises(ValueError, match="max_frames must be an integer"):
+            sample_frames(60.0, 1.0, cap)
+
+    def test_numpy_integer_cap_stored_as_int(self):
+        for duration in (60.0, 600.0):
+            plan = sample_frames(duration, 1.0, np.int64(128))
+            assert plan.max_frames == 128 and type(plan.max_frames) is int
+            assert plan == sample_frames(duration, 1.0, 128)
+
     def test_non_finite_inputs_rejected(self):
         for bad in (math.inf, math.nan):
             with pytest.raises(InvalidDuration):

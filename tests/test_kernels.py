@@ -312,6 +312,105 @@ class TestKernelProperties:
             assert np.array_equal(got, plain(x64, *args))
 
 
+NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
+
+# Each kernel and loop oracle, with the names of its two size arguments and
+# a pair of valid values for a 4x6 grid.
+_SIZED = [
+    (fn, names, (2, 3))
+    for pair, names in (
+        ((avg_pool_strided, naive_avg_pool_strided), ("stride_h", "stride_w")),
+        ((avg_pool_adaptive, naive_avg_pool_adaptive), ("out_rows", "out_cols")),
+        ((bilinear_resample, naive_bilinear_resample), ("out_rows", "out_cols")),
+    )
+    for fn in pair
+]
+
+
+class TestKernelArguments:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_SIZED), st.integers(0, 1), NOT_AN_INTEGER)
+    def test_non_integers_rejected_by_name(self, sized, position, value):
+        fn, names, valid = sized
+        args = list(valid)
+        args[position] = value
+        with pytest.raises(ValueError, match=f"{names[position]} must be an integer"):
+            fn(FrameGrid(np.ones((4, 6, 2))), *args)
+
+    @pytest.mark.parametrize("sized", _SIZED)
+    def test_numpy_integers_accepted(self, sized):
+        fn, _, valid = sized
+        grid = FrameGrid(np.arange(48.0).reshape(4, 6, 2))
+        got = fn(grid, np.int64(valid[0]), np.uint8(valid[1])).values
+        assert np.array_equal(got, fn(grid, *valid).values)
+
+
+# Memory layouts FrameGrid keeps as they arrive (np.array copies in order
+# "K"), each holding the values of the C-ordered grid x.
+def _fortran(x):
+    return np.asfortranarray(x)
+
+
+def _transposed(x):
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _channels_first(x):
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+def _sliced(x):
+    rows, cols, ch = x.shape
+    big = np.zeros((2 * rows, 2 * cols, ch), dtype=x.dtype, order="F")
+    big[::2, 1::2] = x
+    return big[::2, 1::2]
+
+
+_LAYOUTS = [_fortran, _transposed, _channels_first, _sliced]
+
+
+@st.composite
+def _strided_layout_case(draw):
+    sh, sw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows, cols = sh * draw(st.integers(2, 6)), sw * draw(st.integers(2, 6))
+    channels = draw(st.integers(1, 8))
+    width = draw(st.sampled_from([32, 64]))
+    elements = st.floats(-1e3, 1e3, width=width)
+    dtype = np.float32 if width == 32 else np.float64
+    x = draw(arrays(dtype, (rows, cols, channels), elements=elements))
+    return x, draw(st.sampled_from(_LAYOUTS)), (sh, sw)
+
+
+class TestStridedLayouts:
+    """Strided pooling does not depend on how the grid lies in memory."""
+
+    @staticmethod
+    def _check(x, layout, sh, sw):
+        view = layout(x)
+        assert np.array_equal(view, x)
+        grid = FrameGrid(view)
+        got = avg_pool_strided(grid, sh, sw).values
+        assert np.array_equal(got, _strided_by_mean(x.astype(np.float64), sh, sw))
+        widened = FrameGrid(view.astype(np.float64))
+        assert np.array_equal(got, avg_pool_strided(widened, sh, sw).values)
+        return grid
+
+    @settings(max_examples=300, deadline=None)
+    @given(_strided_layout_case())
+    def test_matches_mean_of_c_ordered_input(self, case):
+        x, layout, (sh, sw) = case
+        grid = self._check(x, layout, sh, sw)
+        if x.shape[2] > 1 or layout is not _channels_first:
+            assert not grid.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_encoder_width_mixed_exponents(self, layout):
+        rng = np.random.default_rng(1024)
+        x = rng.standard_normal((8, 8, 1024)) * 10.0 ** rng.integers(-30, 30, (8, 8, 1024))
+        grid = self._check(x.astype(np.float32), layout, 2, 2)
+        assert not grid.values.flags.c_contiguous
+
+
 class TestSynthFeatures:
     def test_deterministic(self):
         a = synth_features(3, PatchGrid(5, 7), 2)
