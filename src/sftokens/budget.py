@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import InvalidOutputShape, NonDivisibleStride
-from .geometry import AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize
+from .geometry import (
+    AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize, store_counts
+)
 from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, slow_grid
 
 DEFAULT_TEXT_ALLOWANCE = 512
@@ -45,11 +47,10 @@ class StageConfig:
     def __post_init__(self) -> None:
         if self.stage not in (STAGE_ONE, STAGE_TWO):
             raise ValueError(f"stage must be {STAGE_ONE!r} or {STAGE_TWO!r}, got {self.stage!r}")
-        required = ("context_length", "min_image_area", "max_image_area", "base_image_side", "patch")
-        for name in required + ("video_min_area", "video_max_area", "max_frames"):
-            value = getattr(self, name)
-            if type(value) is not int and (value is not None or name in required):
-                object.__setattr__(self, name, as_count(name, value))
+        store_counts(self, "context_length", "min_image_area", "max_image_area", "base_image_side",
+                     "patch")
+        optional = ("video_min_area", "video_max_area", "max_frames")
+        store_counts(self, *(name for name in optional if getattr(self, name) is not None))
         if (self.video_min_area is None) != (self.video_max_area is None):
             raise ValueError(
                 "video_min_area and video_max_area must be set together, got "
@@ -145,6 +146,14 @@ class BudgetReport:
 def _report(
     slow: int, fast: int, separators: int, context_length: int, text_allowance: int
 ) -> BudgetReport:
+    if type(text_allowance) is not int or text_allowance < 0:
+        try:
+            allowance = as_count("text_allowance", text_allowance)
+        except ValueError:
+            allowance = -1
+        if allowance < 0:
+            raise ValueError(f"text_allowance must be a non-negative integer, got {text_allowance!r}")
+        text_allowance = allowance
     total = slow + fast + separators
     return BudgetReport(
         slow_tokens=slow,

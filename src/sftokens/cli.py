@@ -82,13 +82,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _text_allowance(doc: dict) -> int:
-    value = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"text_allowance must be a non-negative integer, got {value!r}")
-    return value
-
-
 def _fit_word(report: budget.BudgetReport) -> str:
     if report.fits_context:
         return _style("fits", _GREEN)
@@ -111,7 +104,7 @@ def _plan_text(report: budget.BudgetReport, context_length: int) -> str:
 def _cmd_plan(args) -> int:
     doc = cfgmod.load_config(args.config, args.overrides)
     stage = cfgmod.stage_from_config(doc)
-    allowance = _text_allowance(doc)
+    allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
     fmt = args.format or "json"
 
     if stage.has_video:
@@ -142,7 +135,7 @@ def _cmd_sweep(args) -> int:
     stage = cfgmod.stage_from_config(doc)
     if not stage.has_video:
         raise ConfigError("sweep needs a video-capable stage config")
-    allowance = _text_allowance(doc)
+    allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
     configs, labels = cfgmod.sweep_configs(doc)
     grid = budget.stage_video_grid(stage)
     reports = budget.sweep(configs, grid, stage, allowance)

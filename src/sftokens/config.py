@@ -108,46 +108,22 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     return doc
 
 
-def _take(doc: dict, key: str, default):
-    value = doc.get(key, default)
-    if value is None:
-        return None
-    if key == "stage" or key == "arrangement":
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _replace(base, doc: dict, keys: set[str]):
+    try:
+        return replace(base, **{key: doc[key] for key in keys if key in doc})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def stage_from_config(doc: dict) -> StageConfig:
     """Build the stage limits, defaulting missing fields per declared stage."""
-    stage_name = doc.get("stage", "II")
-    if stage_name not in ("I", "II"):
-        raise ConfigError(f"stage must be 'I' or 'II', got {stage_name!r}")
-    base = stage_one_defaults() if stage_name == "I" else stage_two_defaults()
-    try:
-        return StageConfig(
-            stage=stage_name,
-            context_length=_take(doc, "context_length", base.context_length),
-            min_image_area=_take(doc, "min_image_area", base.min_image_area),
-            max_image_area=_take(doc, "max_image_area", base.max_image_area),
-            base_image_side=_take(doc, "base_image_side", base.base_image_side),
-            video_min_area=_take(doc, "video_min_area", base.video_min_area),
-            video_max_area=_take(doc, "video_max_area", base.video_max_area),
-            max_frames=_take(doc, "max_frames", base.max_frames),
-            patch=_take(doc, "patch", base.patch),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    base = stage_one_defaults() if doc.get("stage") == "I" else stage_two_defaults()
+    return _replace(base, doc, STAGE_KEYS)
 
 
 def pathway_from_config(doc: dict, base: PathwayConfig = DEFAULT_VIDEO_CONFIG) -> PathwayConfig:
     """Build a pathway config on top of ``base``, overriding present fields."""
-    fields = {key: _take(doc, key, None) for key in PATHWAY_KEYS if key in doc}
-    try:
-        return replace(base, **fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _replace(base, doc, PATHWAY_KEYS)
 
 
 def sweep_rows(doc: dict) -> list[dict]:

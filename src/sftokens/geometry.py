@@ -32,6 +32,14 @@ def as_count(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def store_counts(record, *names: str) -> None:
+    """Store each named field of frozen ``record`` as ``as_count`` of itself, in order."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            object.__setattr__(record, name, as_count(name, value))
+
+
 @dataclass(frozen=True)
 class Resolution:
     """A pixel resolution, height by width.
@@ -45,9 +53,7 @@ class Resolution:
     width: int
 
     def __post_init__(self) -> None:
-        if type(self.height) is not int or type(self.width) is not int:
-            object.__setattr__(self, "height", as_count("height", self.height))
-            object.__setattr__(self, "width", as_count("width", self.width))
+        store_counts(self, "height", "width")
         if self.height < 1 or self.width < 1:
             raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
 
@@ -69,9 +75,7 @@ class AreaThresholds:
     max_area: int
 
     def __post_init__(self) -> None:
-        if type(self.min_area) is not int or type(self.max_area) is not int:
-            object.__setattr__(self, "min_area", as_count("min_area", self.min_area))
-            object.__setattr__(self, "max_area", as_count("max_area", self.max_area))
+        store_counts(self, "min_area", "max_area")
         if self.min_area < 0:
             raise ValueError(f"min_area must be non-negative, got {self.min_area}")
         if self.min_area >= self.max_area:
@@ -102,6 +106,7 @@ class ResizePlan:
     below_min: bool = False
 
     def __post_init__(self) -> None:
+        store_counts(self, "patch")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.patch < 1:
@@ -121,9 +126,7 @@ class PatchGrid:
     cols: int
 
     def __post_init__(self) -> None:
-        if type(self.rows) is not int or type(self.cols) is not int:
-            object.__setattr__(self, "rows", as_count("rows", self.rows))
-            object.__setattr__(self, "cols", as_count("cols", self.cols))
+        store_counts(self, "rows", "cols")
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"grid must be positive, got {self.rows}x{self.cols}")
 
@@ -153,6 +156,7 @@ class SamplingPlan:
     max_frames: int
 
     def __post_init__(self) -> None:
+        store_counts(self, "max_frames")
         if self.mode not in (FPS_MODE, UNIFORM_FALLBACK_MODE):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         if len(self.timestamps) > self.max_frames:
@@ -173,9 +177,9 @@ def compute_scale(res: Resolution, thresholds: AreaThresholds) -> float:
     """Return the resize factor that brings ``res`` into the area band.
 
     Shrinks when the area exceeds ``max_area``, grows when it is under
-    ``min_area``, and returns 1.0 when the area is already in range. The
-    factor equalises the area with the violated threshold, so it is
-    ``sqrt(threshold / area)`` on both non-trivial branches.
+    ``min_area``, and returns 1.0 when the area is already in range: the
+    factor is ``sqrt(clamped / area)``, where ``clamped`` is the area
+    clamped into the band.
 
     Args:
         res: Input resolution.
@@ -185,11 +189,7 @@ def compute_scale(res: Resolution, thresholds: AreaThresholds) -> float:
         The positive scale factor.
     """
     area = res.area
-    if area > thresholds.max_area:
-        return math.sqrt(thresholds.max_area / area)
-    if area < thresholds.min_area:
-        return math.sqrt(thresholds.min_area / area)
-    return 1.0
+    return math.sqrt(min(max(area, thresholds.min_area), thresholds.max_area) / area)
 
 
 def _scaled_floor_multiple(dim: int, numerator: int, area: int, patch: int) -> int:
@@ -209,7 +209,7 @@ def plan_resize(res: Resolution, thresholds: AreaThresholds, patch: int) -> Resi
     Args:
         res: Input resolution.
         thresholds: Area band to land in.
-        patch: Encoder patch size, at least 1.
+        patch: Encoder patch size, an integer of at least 1.
 
     Returns:
         The resize plan.
@@ -218,22 +218,14 @@ def plan_resize(res: Resolution, thresholds: AreaThresholds, patch: int) -> Resi
         DegenerateResize: If flooring yields zero rows or columns, i.e. the
             input is too small relative to the patch size.
     """
+    if type(patch) is not int:
+        patch = as_count("patch", patch)
     if patch < 1:
         raise ValueError(f"patch must be positive, got {patch}")
     area = res.area
-    if area > thresholds.max_area:
-        numerator = thresholds.max_area
-    elif area < thresholds.min_area:
-        numerator = thresholds.min_area
-    else:
-        numerator = None
-
-    if numerator is None:
-        target_h = res.height // patch * patch
-        target_w = res.width // patch * patch
-    else:
-        target_h = _scaled_floor_multiple(res.height, numerator, area, patch)
-        target_w = _scaled_floor_multiple(res.width, numerator, area, patch)
+    clamped = min(max(area, thresholds.min_area), thresholds.max_area)
+    target_h = _scaled_floor_multiple(res.height, clamped, area, patch)
+    target_w = _scaled_floor_multiple(res.width, clamped, area, patch)
 
     if target_h == 0 or target_w == 0:
         raise DegenerateResize(

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCount, InvalidOutputShape, NonDivisibleStride, PartitionViolation
-from .geometry import PatchGrid, as_count
+from .geometry import PatchGrid, as_count, store_counts
 
 if TYPE_CHECKING:
     from .kernels import FrameGrid
@@ -58,10 +58,7 @@ class PathwayConfig:
     arrangement: Arrangement = Arrangement.GSF
 
     def __post_init__(self) -> None:
-        for name in ("n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, as_count(name, value))
+        store_counts(self, "n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols")
         if self.n_total < 1:
             raise ValueError(f"n_total must be positive, got {self.n_total}")
         if not 0 <= self.n_slow <= self.n_total:
@@ -140,8 +137,11 @@ def select_slow_frames(n_total: int, n_slow: int) -> list[int]:
     ``n_slow = 0`` yields an empty selection.
 
     Raises:
+        ValueError: If either count is not an integer.
         InvalidCount: If ``n_slow`` is negative or exceeds ``n_total``.
     """
+    if type(n_total) is not int or type(n_slow) is not int:
+        n_total, n_slow = as_count("n_total", n_total), as_count("n_slow", n_slow)
     if n_slow < 0 or n_slow > n_total:
         raise InvalidCount(f"n_slow must be in [0, {n_total}], got {n_slow}")
     return [i * n_total // n_slow for i in range(n_slow)]

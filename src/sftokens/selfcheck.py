@@ -8,7 +8,7 @@ call time so tests can inject a faulty kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -74,12 +74,10 @@ _CASES = {
 }
 
 
-def check_kernel_oracle(
-    name: str, seed: int, trials: int, kernel: Callable | None = None
-) -> CheckResult:
+def check_kernel_oracle(name: str, seed: int, trials: int) -> CheckResult:
     """Compare one kernel against its loop oracle on seeded random grids."""
     make_case, oracle = _CASES[name]
-    fn = kernel if kernel is not None else DEFAULT_KERNELS[name]
+    fn = DEFAULT_KERNELS[name]
     rng = np.random.default_rng([seed, sum(name.encode())])
     worst = 0.0
     for trial in range(trials):
@@ -110,9 +108,9 @@ def _sample_positions(n_in: int, n_out: int) -> np.ndarray:
     return np.arange(n_out) * (n_in - 1) / (n_out - 1)
 
 
-def check_bilinear_affine(seed: int, trials: int, kernel: Callable | None = None) -> CheckResult:
+def check_bilinear_affine(seed: int, trials: int) -> CheckResult:
     """Bilinear resampling must reproduce affine fields at its sample points."""
-    fn = kernel if kernel is not None else DEFAULT_KERNELS["bilinear_resample"]
+    fn = DEFAULT_KERNELS["bilinear_resample"]
     rng = np.random.default_rng([seed, 0xAF])
     worst = 0.0
     for trial in range(trials):
@@ -158,18 +156,9 @@ def check_golden_sweep(name: str) -> CheckResult:
     return CheckResult(f"golden_{name}", True, f"{len(reports)} rows match golden counts")
 
 
-def run_checks(
-    seed: int = 42,
-    trials: int = 200,
-    kernels_override: Mapping[str, Callable] | None = None,
-) -> list[CheckResult]:
+def run_checks(seed: int = 42, trials: int = 200) -> list[CheckResult]:
     """Run the full self-check suite; deterministic for a fixed seed."""
-    table: dict[str, Callable] = dict(DEFAULT_KERNELS)
-    if kernels_override:
-        table.update(kernels_override)
-    results = [
-        check_kernel_oracle(name, seed, trials, table[name]) for name in _CASES
-    ]
-    results.append(check_bilinear_affine(seed, trials, table["bilinear_resample"]))
+    results = [check_kernel_oracle(name, seed, trials) for name in _CASES]
+    results.append(check_bilinear_affine(seed, trials))
     results.extend(check_golden_sweep(name) for name in GOLDEN_SWEEPS)
     return results

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftokens import (
@@ -191,19 +191,34 @@ class TestStageConfig:
     def test_numpy_integers_stored_as_int(self):
         stage = replace(STAGE2, context_length=np.int64(16384), max_frames=np.uint8(128),
                         video_min_area=np.int32(288 * 288))
-        values = (stage.context_length, stage.max_frames, stage.video_min_area)
-        assert values == (16384, 128, 288 * 288)
+        allowance = video_budget(DEFAULT_VIDEO_CONFIG, GRID, stage, np.int64(512)).text_allowance
+        values = (stage.context_length, stage.max_frames, stage.video_min_area, allowance)
+        assert values == (16384, 128, 288 * 288, 512)
         assert all(type(v) is int for v in values)
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(["context_length", "min_image_area", "max_image_area", "base_image_side",
-                         "patch", "video_min_area", "video_max_area", "max_frames"]),
+                         "patch", "video_min_area", "video_max_area", "max_frames",
+                         "text_allowance"]),
         st.one_of(st.floats(), st.booleans(), st.text()),
     )
+    @example("text_allowance", -100000)
+    @example("text_allowance", "512")
+    @example("text_allowance", 512.5)
+    @example("text_allowance", True)
     def test_non_integers_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            replace(STAGE2, **{field: value})
+        if field != "text_allowance":
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                replace(STAGE2, **{field: value})
+            return
+        for budget_of in (
+            lambda: video_budget(DEFAULT_VIDEO_CONFIG, GRID, STAGE2, value),
+            lambda: image_budget(Resolution(480, 640), STAGE2, value),
+            lambda: sweep([DEFAULT_VIDEO_CONFIG], GRID, STAGE2, value),
+        ):
+            with pytest.raises(ValueError, match="text_allowance must be a non-negative integer"):
+                budget_of()
 
 
 class TestValidateStage:

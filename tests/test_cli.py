@@ -8,11 +8,20 @@ from pathlib import Path
 import pytest
 
 from sftokens import cli, selfcheck
-from sftokens.config import load_config, sweep_configs
+from sftokens.config import PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
 
 DATA = Path(__file__).parent / "data"
+INTEGER_KEYS = sorted((STAGE_KEYS | PATHWAY_KEYS) - {"stage", "arrangement"})
+PINNED_ERRORS = [
+    ([f"{key}=1.5"], f"error: {key} must be an integer, got 1.5\n") for key in INTEGER_KEYS
+] + [
+    (["text_allowance=-1"], "error: text_allowance must be a non-negative integer, got -1\n"),
+    (["stage=III"], "error: stage must be 'I' or 'II', got 'III'\n"),
+    # With two bad fields the record's first field is named.
+    (["n_slow=1.5", "n_total=2.5"], "error: n_total must be an integer, got 2.5\n"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +74,11 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--set", "n_slowish=3")
         assert code == 1
         assert "n_slowish" in err
+
+    @pytest.mark.parametrize("sets, err", PINNED_ERRORS, ids=[",".join(s) for s, _ in PINNED_ERRORS])
+    def test_bad_value_exits_1_with_pinned_message(self, capsys, sets, err):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli(capsys, "plan", *argv) == (1, "", err)
 
     def test_half_set_video_band_exits_1(self, capsys):
         code, out, err = run_cli(

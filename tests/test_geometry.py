@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftokens import (
@@ -15,6 +15,7 @@ from sftokens import (
     PatchGrid,
     Resolution,
     ResizePlan,
+    SamplingPlan,
     compute_scale,
     patch_grid,
     plan_resize,
@@ -49,17 +50,33 @@ class TestTypes:
     def test_numpy_integers_stored_as_int(self):
         res = Resolution(np.int64(480), np.uint16(640))
         band = AreaThresholds(np.int32(0), np.int64(480 * 480))
-        values = (res.height, res.width, band.min_area, band.max_area)
-        assert values == (480, 640, 0, 480 * 480)
+        patch = plan_resize(res, band, np.int64(16)).patch
+        max_frames = SamplingPlan("fps", (0.0,), 1.0, 1.0, np.uint8(128)).max_frames
+        values = (res.height, res.width, band.min_area, band.max_area, patch, max_frames)
+        assert values == (480, 640, 0, 480 * 480, 16, 128)
         assert all(type(v) is int for v in values)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["height", "width", "min_area", "max_area"]), NOT_AN_INTEGER)
+    @given(
+        st.sampled_from(["height", "width", "min_area", "max_area", "patch", "max_frames"]),
+        NOT_AN_INTEGER,
+    )
+    @example("patch", 16.0)
+    @example("patch", True)
+    @example("patch", "16")
+    @example("max_frames", 128.5)
     def test_non_integers_rejected_by_name(self, field, value):
         if field in ("height", "width"):
             cls, fields = Resolution, {"height": 480, "width": 640}
-        else:
+        elif field in ("min_area", "max_area"):
             cls, fields = AreaThresholds, {"min_area": 0, "max_area": 100}
+        elif field == "patch":
+            cls, fields = ResizePlan, {"scale": 1.0, "target": Resolution(32, 32), "patch": 16}
+            with pytest.raises(ValueError, match="patch must be an integer"):
+                plan_resize(Resolution(480, 640), VIDEO_BAND, value)
+        else:
+            cls, fields = SamplingPlan, {"mode": "fps", "timestamps": (0.0,),
+                                         "source_duration": 1.0, "target_fps": 1.0}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             cls(**{**fields, field: value})
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftokens import (
@@ -70,16 +70,22 @@ class TestConfig:
         cfg = PathwayConfig(n_total=np.int64(8), n_slow=np.int32(2), fast_rows=np.uint8(2))
         assert (cfg.n_total, cfg.n_slow, cfg.fast_rows) == (8, 2, 2)
         assert all(type(v) is int for v in (cfg.n_total, cfg.n_slow, cfg.fast_rows))
+        selection = select_slow_frames(np.int64(8), np.int32(2))
+        assert selection == [0, 4] and all(type(i) is int for i in selection)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(["n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols"]),
         st.one_of(st.floats(), st.booleans(), st.text()),
     )
+    @example("n_total", 4.0)
     def test_non_integers_rejected_by_name(self, field, value):
         fields = {"n_total": 4, "n_slow": 2, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             PathwayConfig(**fields)
+        if field in ("n_total", "n_slow"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                select_slow_frames(fields["n_total"], fields["n_slow"])
 
 
 class TestSlowSelection:
