@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import InvalidOutputShape, NonDivisibleStride
+from .errors import DegenerateResize, InvalidOutputShape, NonDivisibleStride
 from .geometry import (
     AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize, store_counts
 )
@@ -198,6 +198,20 @@ def image_budget(
     return _report(high, low, 0, stage.context_length, text_allowance)
 
 
+def worst_image_budget(
+    stage: StageConfig, text_allowance: int = DEFAULT_TEXT_ALLOWANCE
+) -> BudgetReport:
+    """Budget the stage's worst case image: the largest patch-aligned square in its max area.
+
+    Raises:
+        DegenerateResize: If that square is smaller than one patch.
+    """
+    side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
+    if side < stage.patch:
+        raise DegenerateResize("max_image_area too small for one patch")
+    return image_budget(Resolution(side, side), stage, text_allowance)
+
+
 def sweep(
     configs: Sequence[PathwayConfig],
     grid: PatchGrid,
@@ -272,14 +286,15 @@ def validate_stage(
         return findings
 
     if stage.min_image_area < stage.max_image_area:
-        side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
-        if side >= stage.patch:
-            image_rep = image_budget(Resolution(side, side), stage, text_allowance)
+        try:
+            image_rep = worst_image_budget(stage, text_allowance)
             if not image_rep.fits_context:
                 findings.append(
                     f"worst-case image tokens {image_rep.total_tokens} + allowance "
                     f"{text_allowance} exceed context {stage.context_length}"
                 )
+        except DegenerateResize as exc:
+            findings.append(str(exc))
 
     if has_video_field:
         if not stage.has_video:
@@ -300,10 +315,10 @@ def validate_stage(
                 f"pathway wants {cfg.n_total} frames but the stage samples at most "
                 f"{stage.max_frames}"
             )
-        grid = stage_video_grid(stage)
         try:
+            grid = stage_video_grid(stage)
             report = video_budget(cfg, grid, stage, text_allowance)
-        except (NonDivisibleStride, InvalidOutputShape) as exc:
+        except (DegenerateResize, NonDivisibleStride, InvalidOutputShape) as exc:
             findings.append(f"pathway does not fit the stage frame grid: {exc}")
             return findings
         if not report.fits_context:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import budget, config as cfgmod
 from .errors import ConfigError
-from .geometry import PatchGrid, Resolution
+from .geometry import PatchGrid, as_count
 from .projector import plan_layout, project_video  # project_video: bench/ traces cli.project_video
 
 _GREEN = "\033[32m"
@@ -111,11 +110,7 @@ def _cmd_plan(args) -> int:
         pathway = cfgmod.pathway_from_config(doc)
         report = budget.video_budget(pathway, budget.stage_video_grid(stage), stage, allowance)
     else:
-        # Image-only stage: budget the worst case, a max-area patch-aligned square.
-        side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
-        if side < stage.patch:
-            raise ConfigError("max_image_area too small for one patch")
-        report = budget.image_budget(Resolution(side, side), stage, allowance)
+        report = budget.worst_image_budget(stage, allowance)
 
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
@@ -171,17 +166,14 @@ def _cmd_arrange(args) -> int:
     if "grid_rows" in doc or "grid_cols" in doc:
         if not ("grid_rows" in doc and "grid_cols" in doc):
             raise ConfigError("grid_rows and grid_cols must be set together")
-        for key in ("grid_rows", "grid_cols"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-                raise ConfigError(f"{key} must be an integer, got {doc[key]!r}")
-        grid = PatchGrid(doc["grid_rows"], doc["grid_cols"])
+        grid = PatchGrid(*(as_count(key, doc[key]) for key in ("grid_rows", "grid_cols")))
     else:
         stage = cfgmod.stage_from_config(doc)
         if not stage.has_video:
             raise ConfigError("arrange needs grid_rows/grid_cols or a video-capable stage")
         grid = budget.stage_video_grid(stage)
     channels = doc.get("channels", 1)  # accepted and checked; the layout does not depend on it
-    if isinstance(channels, bool) or not isinstance(channels, int) or channels < 1:
+    if type(channels) is not int or channels < 1:
         raise ConfigError(f"channels must be a positive integer, got {channels!r}")
     _emit("\n".join(plan_layout(pathway, grid).layout_lines()), args.out)
     return 0

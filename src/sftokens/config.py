@@ -1,17 +1,19 @@
 """Flat JSON configuration files and key=value overrides.
 
-A config document is a single flat JSON object whose keys mirror the
-StageConfig and PathwayConfig field names. Missing fields fall back to the
-deployment defaults for the declared stage. Sweeps add either a ``sweep``
-list of per-row overrides or a ``sweep_grid`` mapping of field to value
-list (expanded as a cross product in key order).
+A config document is a single flat JSON object whose keys are the
+StageConfig and PathwayConfig field names plus a few extras. Missing fields
+fall back to the deployment defaults for the declared stage. Sweeps add
+either a ``sweep`` list of per-row overrides or a ``sweep_grid`` mapping of
+field to value list (expanded as a cross product in key order). Rows and
+grid keys set pathway fields only, and a row may add a ``label``;
+``load_config`` checks both forms, so every command rejects a bad sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -19,26 +21,8 @@ from .budget import StageConfig, stage_one_defaults, stage_two_defaults
 from .errors import ConfigError
 from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig
 
-STAGE_KEYS = {
-    "stage",
-    "context_length",
-    "min_image_area",
-    "max_image_area",
-    "base_image_side",
-    "video_min_area",
-    "video_max_area",
-    "max_frames",
-    "patch",
-}
-PATHWAY_KEYS = {
-    "n_total",
-    "n_slow",
-    "stride_h",
-    "stride_w",
-    "fast_rows",
-    "fast_cols",
-    "arrangement",
-}
+STAGE_KEYS = {field.name for field in fields(StageConfig)}
+PATHWAY_KEYS = {field.name for field in fields(PathwayConfig)}
 EXTRA_KEYS = {
     "text_allowance",
     "sweep",
@@ -53,15 +37,10 @@ KNOWN_KEYS = STAGE_KEYS | PATHWAY_KEYS | EXTRA_KEYS
 BUNDLED_CONFIGS = ("table1_stage1.cfg", "table1_stage2.cfg", "table4.cfg", "table5.cfg")
 
 
-def bundled_config_path(name: str) -> Path:
-    path = resources.files("sftokens").joinpath("configs", name)
-    return Path(str(path))
-
-
-def _check_keys(doc: dict, where: str) -> None:
-    unknown = sorted(set(doc) - KNOWN_KEYS)
+def _check_keys(doc: dict, allowed: set[str], message: str) -> None:
+    unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"{message}: {', '.join(unknown)}")
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
@@ -71,13 +50,16 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     fall back to plain strings.
 
     Raises:
-        ConfigError: On missing files, malformed JSON, unknown keys or a non-list ``sweep``.
+        ConfigError: On missing files, malformed JSON or unknown keys; on a
+            ``sweep`` that is not a non-empty list of objects setting only
+            pathway fields and ``label``; on a ``sweep_grid`` that is not a
+            non-empty object mapping pathway fields to non-empty lists.
     """
     doc: dict = {}
     if path is not None:
         file_path = Path(path)
         if not file_path.exists() and file_path.name in BUNDLED_CONFIGS:
-            file_path = bundled_config_path(file_path.name)
+            file_path = Path(str(resources.files("sftokens").joinpath("configs", file_path.name)))
         if not file_path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
@@ -97,14 +79,24 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             value = raw
         doc[key] = value
 
-    _check_keys(doc, "config")
-    rows = doc.get("sweep", [])
-    if not isinstance(rows, list):
-        raise ConfigError("sweep must be a non-empty list of objects")
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ConfigError(f"sweep row {i} must be an object")
-        _check_keys(row, f"sweep row {i}")
+    _check_keys(doc, KNOWN_KEYS, "unknown keys in config")
+    if "sweep" in doc:
+        rows = doc["sweep"]
+        if not isinstance(rows, list) or not rows:
+            raise ConfigError("sweep must be a non-empty list of objects")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise ConfigError(f"sweep row {i} must be an object")
+            _check_keys(row, PATHWAY_KEYS | {"label"},
+                        f"sweep row {i} keys must be pathway fields or label, got")
+    if "sweep_grid" in doc:
+        grid = doc["sweep_grid"]
+        if not isinstance(grid, dict) or not grid:
+            raise ConfigError("sweep_grid must be a non-empty object of value lists")
+        _check_keys(grid, PATHWAY_KEYS, "sweep_grid keys must be pathway fields, got")
+        for key, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"sweep_grid.{key} must be a non-empty list")
     return doc
 
 
@@ -127,37 +119,23 @@ def pathway_from_config(doc: dict, base: PathwayConfig = DEFAULT_VIDEO_CONFIG) -
 
 
 def sweep_rows(doc: dict) -> list[dict]:
-    """Expand the sweep definition into per-row override dicts.
+    """Expand the sweep definition of a loaded document into per-row override dicts.
 
     Explicit ``sweep`` rows win over a ``sweep_grid``; with neither, the
     document itself is the single row.
     """
     if "sweep" in doc:
-        rows = doc["sweep"]
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError("sweep must be a non-empty list of objects")
-        return rows
+        return doc["sweep"]
     if "sweep_grid" in doc:
         grid = doc["sweep_grid"]
-        if not isinstance(grid, dict) or not grid:
-            raise ConfigError("sweep_grid must be a non-empty object of value lists")
-        unknown = sorted(set(grid) - PATHWAY_KEYS)
-        if unknown:
-            raise ConfigError(f"sweep_grid keys must be pathway fields, got: {', '.join(unknown)}")
-        keys = list(grid)
-        for key in keys:
-            if not isinstance(grid[key], list) or not grid[key]:
-                raise ConfigError(f"sweep_grid.{key} must be a non-empty list")
-        return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+        return [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
     return [{}]
 
 
 def sweep_configs(doc: dict) -> tuple[list[PathwayConfig], list[str]]:
     """Materialise sweep rows into pathway configs plus per-row labels."""
     base = pathway_from_config(doc)
-    configs: list[PathwayConfig] = []
-    labels: list[str] = []
-    for i, row in enumerate(sweep_rows(doc)):
-        configs.append(pathway_from_config(row, base))
-        labels.append(str(row.get("label", f"row{i}")))
+    rows = sweep_rows(doc)
+    configs = [pathway_from_config(row, base) for row in rows]
+    labels = [str(row.get("label", f"row{i}")) for i, row in enumerate(rows)]
     return configs, labels

@@ -253,9 +253,11 @@ def arrange_isf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
 
 
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
-    """Run both streams over ``frames`` and arrange the combined sequence."""
+    """Check ``frames`` and the fit as ``plan_layout`` does, then pool both streams and arrange."""
     if len({frame.shape for frame in frames}) > 1:
         raise ValueError("all frames must share one shape")
+    _check_count(frames, cfg)
+    slow_grid(cfg, PatchGrid(frames[0].rows, frames[0].cols))
     slow = zip(select_slow_frames(cfg.n_total, cfg.n_slow), run_slow_pathway(frames, cfg))
     fast = zip(fast_frame_indices(cfg), run_fast_pathway(frames, cfg))
     arrange = arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf

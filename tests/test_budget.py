@@ -259,6 +259,18 @@ class TestValidateStage:
         findings = validate_stage(STAGE2, pathway=cfg)
         assert any("coarser" in f for f in findings)
 
+    def test_image_cap_below_one_patch_flagged(self):
+        # `sft plan` exits 1 on this stage, so validation must not pass it.
+        stage = replace(stage_one_defaults(), max_image_area=100)
+        assert validate_stage(stage) == ["max_image_area too small for one patch"]
+
+    def test_video_band_below_one_patch_flagged_not_raised(self):
+        stage = replace(STAGE2, video_min_area=0, video_max_area=100)
+        assert validate_stage(stage) == [
+            "pathway does not fit the stage frame grid: "
+            "10x10 with patch 16 floors to 0x0; input too small"
+        ]
+
 
 class TestReportShape:
     def test_json_fields(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sftokens import cli, selfcheck
-from sftokens.config import PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
+from sftokens.config import KNOWN_KEYS, PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
 
@@ -21,6 +21,15 @@ PINNED_ERRORS = [
     (["stage=III"], "error: stage must be 'I' or 'II', got 'III'\n"),
     # With two bad fields the record's first field is named.
     (["n_slow=1.5", "n_total=2.5"], "error: n_total must be an integer, got 2.5\n"),
+]
+NON_ROW_KEYS = sorted(KNOWN_KEYS - PATHWAY_KEYS - {"label"})
+MALFORMED_GRIDS = [
+    ("5", "sweep_grid must be a non-empty object of value lists"),
+    ("{}", "sweep_grid must be a non-empty object of value lists"),
+    ('{"n_slow":[]}', "sweep_grid.n_slow must be a non-empty list"),
+    ('{"n_slow":4}', "sweep_grid.n_slow must be a non-empty list"),
+    ('{"n_slow":[4],"text_allowance":[9000],"label":["x"]}',
+     "sweep_grid keys must be pathway fields, got: label, text_allowance"),
 ]
 
 
@@ -140,12 +149,33 @@ class TestSweep:
         assert code == 1
         assert "n_slow" in err
 
-    @pytest.mark.parametrize("command", ["plan", "sweep"])
-    @pytest.mark.parametrize("value", ["5", '"rows"', "true", "null", '{"n_slow":0}'])
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    @pytest.mark.parametrize("value", ["5", '"rows"', "true", "null", '{"n_slow":0}', "[]"])
     def test_non_list_sweep_rejected(self, capsys, command, value):
         code, out, err = run_cli(capsys, command, "--set", f"sweep={value}")
         assert (code, out) == (1, "")
         assert err == "error: sweep must be a non-empty list of objects\n"
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    def test_non_object_row_rejected(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--set", 'sweep=[{"n_slow":0},5]')
+        assert (code, out, err) == (1, "", "error: sweep row 1 must be an object\n")
+
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    @pytest.mark.parametrize("key", NON_ROW_KEYS)
+    def test_row_with_non_pathway_key_rejected(self, capsys, command, key):
+        # A row setting text_allowance, context_length or grid_rows used to
+        # be swept with that key silently dropped.
+        row = json.dumps([{"n_slow": 0}, {"n_slow": 32, key: 9000}])
+        code, out, err = run_cli(capsys, command, "--config", "table4.cfg", "--set", f"sweep={row}")
+        assert (code, out) == (1, "")
+        assert err == f"error: sweep row 1 keys must be pathway fields or label, got: {key}\n"
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    @pytest.mark.parametrize("value, message", MALFORMED_GRIDS, ids=[v for v, _ in MALFORMED_GRIDS])
+    def test_malformed_sweep_grid_rejected_by_every_command(self, capsys, command, value, message):
+        code, out, err = run_cli(capsys, command, "--set", f"sweep_grid={value}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_non_list_sweep_in_a_file_exits_without_traceback(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -211,9 +241,15 @@ class TestArrange:
         _, default, _ = run_cli(capsys, "arrange", *self.MINI)
         code, out, _ = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=7")
         assert (code, out) == (0, default)
-        code, _, err = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=0")
-        assert code == 1
-        assert "channels" in err
+        code, out, err = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=0")
+        assert (code, out, err) == (1, "", "error: channels must be a positive integer, got 0\n")
+
+    @pytest.mark.parametrize("key", ["grid_rows", "grid_cols", "channels"])
+    @pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("true", "True"), ('"x"', "'x'")])
+    def test_non_integer_grid_or_channels_pinned(self, capsys, key, value, shown):
+        kind = "a positive integer" if key == "channels" else "an integer"
+        code, out, err = run_cli(capsys, "arrange", *self.MINI, "--set", f"{key}={value}")
+        assert (code, out, err) == (1, "", f"error: {key} must be {kind}, got {shown}\n")
 
 
 class TestCheck:

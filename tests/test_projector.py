@@ -425,8 +425,8 @@ class TestLayoutProperty:
         fast_misfit = cfg.n_fast > 0 and (cfg.fast_rows > patch.rows or cfg.fast_cols > patch.cols)
         raises = slow_misfit or fast_misfit
         assert (pooled is not None, planned is not None, budgeted is not None) == (raises,) * 3
-        if slow_misfit != fast_misfit:
-            assert pooled is planned is budgeted
-            assert pooled is (NonDivisibleStride if slow_misfit else InvalidOutputShape)
-        if not raises:
+        assert pooled is planned is budgeted
+        if raises:
+            assert pooled is (InvalidOutputShape if fast_misfit else NonDivisibleStride)
+        else:
             assert plan_layout(cfg, patch) == project_video(frames, cfg)
