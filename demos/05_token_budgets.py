@@ -19,7 +19,7 @@ from sftokens.config import load_config, stage_from_config, sweep_configs
 for name in ("table4.cfg", "table5.cfg"):
     doc = load_config(name)
     stage = stage_from_config(doc)
-    configs, labels = sweep_configs(doc)
+    configs, labels = sweep_configs(doc, stage)
     reports = sweep(configs, stage_video_grid(stage), stage)
     print(f"== {name} (context {stage.context_length}, "
           f"frame grid {stage_video_grid(stage).rows}x{stage_video_grid(stage).cols})")
@@ -32,8 +32,8 @@ for name in ("table4.cfg", "table5.cfg"):
 
 # The same sweep as machine-readable CSV.
 doc = load_config("table4.cfg")
-configs, _ = sweep_configs(doc)
 stage = stage_from_config(doc)
+configs, _ = sweep_configs(doc, stage)
 print(sweep_csv(configs, sweep(configs, stage_video_grid(stage), stage)))
 
 # Image budgets: a fixed low-resolution pass plus a planned high-res pass.

@@ -60,6 +60,8 @@ class StageConfig:
             raise ValueError("context_length must be positive")
         if self.patch < 1:
             raise ValueError("patch must be positive")
+        if self.max_frames is not None and self.max_frames < 1:
+            raise ValueError(f"max_frames must be at least 1, got {self.max_frames}")
         if self.base_image_side < self.patch or self.base_image_side % self.patch:
             raise ValueError(
                 f"base_image_side {self.base_image_side} must be a positive multiple of "
@@ -111,20 +113,44 @@ class BudgetReport:
     """Token counts for one input plus the context-fit verdict.
 
     ``total_tokens`` includes separators; ``rounded_k`` floors the content
-    count (separators excluded) to thousands.
+    count (separators excluded) to thousands; the input fits when the total
+    plus ``text_allowance`` is at most ``context_length``.
     """
 
     slow_tokens: int
     fast_tokens: int
     separator_tokens: int
-    total_tokens: int
-    rounded_k: int
-    fits_context: bool
     text_allowance: int
+    context_length: int
+
+    def __post_init__(self) -> None:
+        allowance = self.text_allowance
+        if type(allowance) is not int or allowance < 0:
+            try:
+                allowance = as_count("text_allowance", allowance)
+            except ValueError:
+                allowance = -1
+            if allowance < 0:
+                raise ValueError(
+                    f"text_allowance must be a non-negative integer, got {self.text_allowance!r}"
+                )
+            object.__setattr__(self, "text_allowance", allowance)
 
     @property
     def content_tokens(self) -> int:
         return self.slow_tokens + self.fast_tokens
+
+    @property
+    def total_tokens(self) -> int:
+        return self.content_tokens + self.separator_tokens
+
+    @property
+    def rounded_k(self) -> int:
+        return self.content_tokens // 1000
+
+    @property
+    def fits_context(self) -> bool:
+        return self.total_tokens + self.text_allowance <= self.context_length
 
     @property
     def rounded_label(self) -> str:
@@ -143,29 +169,6 @@ class BudgetReport:
         }
 
 
-def _report(
-    slow: int, fast: int, separators: int, context_length: int, text_allowance: int
-) -> BudgetReport:
-    if type(text_allowance) is not int or text_allowance < 0:
-        try:
-            allowance = as_count("text_allowance", text_allowance)
-        except ValueError:
-            allowance = -1
-        if allowance < 0:
-            raise ValueError(f"text_allowance must be a non-negative integer, got {text_allowance!r}")
-        text_allowance = allowance
-    total = slow + fast + separators
-    return BudgetReport(
-        slow_tokens=slow,
-        fast_tokens=fast,
-        separator_tokens=separators,
-        total_tokens=total,
-        rounded_k=(slow + fast) // 1000,
-        fits_context=total + text_allowance <= context_length,
-        text_allowance=text_allowance,
-    )
-
-
 def video_budget(
     cfg: PathwayConfig,
     grid: PatchGrid,
@@ -180,7 +183,7 @@ def video_budget(
     """
     slow = cfg.n_slow * math.prod(slow_grid(cfg, grid))
     fast = cfg.n_fast * cfg.fast_tokens_per_frame
-    return _report(slow, fast, cfg.n_separators, stage.context_length, text_allowance)
+    return BudgetReport(slow, fast, cfg.n_separators, text_allowance, stage.context_length)
 
 
 def image_budget(
@@ -195,7 +198,7 @@ def image_budget(
     low = (stage.base_image_side // stage.patch) ** 2
     plan = plan_resize(res, stage.image_thresholds(), stage.patch)
     high = patch_grid(plan).tokens
-    return _report(high, low, 0, stage.context_length, text_allowance)
+    return BudgetReport(high, low, 0, text_allowance, stage.context_length)
 
 
 def worst_image_budget(
@@ -255,7 +258,8 @@ def stage_video_grid(stage: StageConfig) -> PatchGrid:
 def default_pathway_for_stage(stage: StageConfig) -> PathwayConfig:
     """Deployment-default pathway sized to the stage's frame cap."""
     n_total = stage.max_frames or DEFAULT_VIDEO_CONFIG.n_total
-    return replace(DEFAULT_VIDEO_CONFIG, n_total=n_total, n_slow=min(32, n_total))
+    return replace(DEFAULT_VIDEO_CONFIG, n_total=n_total,
+                   n_slow=min(DEFAULT_VIDEO_CONFIG.n_slow, n_total))
 
 
 def validate_stage(
@@ -317,8 +321,12 @@ def validate_stage(
             )
         try:
             grid = stage_video_grid(stage)
+        except DegenerateResize:
+            findings.append("video_max_area too small for one patch")
+            return findings
+        try:
             report = video_budget(cfg, grid, stage, text_allowance)
-        except (DegenerateResize, NonDivisibleStride, InvalidOutputShape) as exc:
+        except (NonDivisibleStride, InvalidOutputShape) as exc:
             findings.append(f"pathway does not fit the stage frame grid: {exc}")
             return findings
         if not report.fits_context:

@@ -87,7 +87,7 @@ def _fit_word(report: budget.BudgetReport) -> str:
     return _style("overflow", _RED)
 
 
-def _plan_text(report: budget.BudgetReport, context_length: int) -> str:
+def _plan_text(report: budget.BudgetReport) -> str:
     lines = [
         f"slow tokens       {report.slow_tokens}",
         f"fast tokens       {report.fast_tokens}",
@@ -95,7 +95,7 @@ def _plan_text(report: budget.BudgetReport, context_length: int) -> str:
         f"content tokens    {report.content_tokens} ({report.rounded_label})",
         f"total tokens      {report.total_tokens}",
         f"text allowance    {report.text_allowance}",
-        f"context {context_length}:  {_fit_word(report)}",
+        f"context {report.context_length}:  {_fit_word(report)}",
     ]
     return "\n".join(lines)
 
@@ -107,7 +107,7 @@ def _cmd_plan(args) -> int:
     fmt = args.format or "json"
 
     if stage.has_video:
-        pathway = cfgmod.pathway_from_config(doc)
+        pathway = cfgmod.pathway_from_config(doc, stage)
         report = budget.video_budget(pathway, budget.stage_video_grid(stage), stage, allowance)
     else:
         report = budget.worst_image_budget(stage, allowance)
@@ -115,7 +115,7 @@ def _cmd_plan(args) -> int:
     if fmt == "json":
         text = json.dumps(report.to_json_dict(), indent=2)
     elif fmt == "text":
-        text = _plan_text(report, stage.context_length)
+        text = _plan_text(report)
     elif stage.has_video:
         text = budget.sweep_csv([pathway], [report])
     else:
@@ -131,7 +131,7 @@ def _cmd_sweep(args) -> int:
     if not stage.has_video:
         raise ConfigError("sweep needs a video-capable stage config")
     allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
-    configs, labels = cfgmod.sweep_configs(doc)
+    configs, labels = cfgmod.sweep_configs(doc, stage)
     grid = budget.stage_video_grid(stage)
     reports = budget.sweep(configs, grid, stage, allowance)
     fmt = args.format or "csv"
@@ -162,13 +162,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_arrange(args) -> int:
     doc = cfgmod.load_config(args.config, args.overrides)
-    pathway = cfgmod.pathway_from_config(doc)
+    stage = cfgmod.stage_from_config(doc)
+    pathway = cfgmod.pathway_from_config(doc, stage)
     if "grid_rows" in doc or "grid_cols" in doc:
         if not ("grid_rows" in doc and "grid_cols" in doc):
             raise ConfigError("grid_rows and grid_cols must be set together")
         grid = PatchGrid(*(as_count(key, doc[key]) for key in ("grid_rows", "grid_cols")))
     else:
-        stage = cfgmod.stage_from_config(doc)
         if not stage.has_video:
             raise ConfigError("arrange needs grid_rows/grid_cols or a video-capable stage")
         grid = budget.stage_video_grid(stage)

@@ -2,10 +2,11 @@
 
 A config document is a single flat JSON object whose keys are the
 StageConfig and PathwayConfig field names plus a few extras. Missing fields
-fall back to the deployment defaults for the declared stage. Sweeps add
-either a ``sweep`` list of per-row overrides or a ``sweep_grid`` mapping of
-field to value list (expanded as a cross product in key order). Rows and
-grid keys set pathway fields only, and a row may add a ``label``;
+fall back to the deployment defaults for the declared stage; pathway
+defaults are sized to the stage's frame cap. Sweeps add either a ``sweep``
+list of per-row overrides or a ``sweep_grid`` mapping of field to value
+list (expanded as a cross product in key order), never both. Rows and grid
+keys set pathway fields only, and a row may add a ``label``;
 ``load_config`` checks both forms, so every command rejects a bad sweep.
 """
 
@@ -17,9 +18,9 @@ from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .budget import StageConfig, stage_one_defaults, stage_two_defaults
+from .budget import StageConfig, default_pathway_for_stage, stage_one_defaults, stage_two_defaults
 from .errors import ConfigError
-from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig
+from .projector import PathwayConfig
 
 STAGE_KEYS = {field.name for field in fields(StageConfig)}
 PATHWAY_KEYS = {field.name for field in fields(PathwayConfig)}
@@ -53,7 +54,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         ConfigError: On missing files, malformed JSON or unknown keys; on a
             ``sweep`` that is not a non-empty list of objects setting only
             pathway fields and ``label``; on a ``sweep_grid`` that is not a
-            non-empty object mapping pathway fields to non-empty lists.
+            non-empty object mapping pathway fields to non-empty lists; on a
+            document that sets both.
     """
     doc: dict = {}
     if path is not None:
@@ -80,6 +82,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         doc[key] = value
 
     _check_keys(doc, KNOWN_KEYS, "unknown keys in config")
+    if "sweep" in doc and "sweep_grid" in doc:
+        raise ConfigError("sweep and sweep_grid must not be set together")
     if "sweep" in doc:
         rows = doc["sweep"]
         if not isinstance(rows, list) or not rows:
@@ -113,16 +117,16 @@ def stage_from_config(doc: dict) -> StageConfig:
     return _replace(base, doc, STAGE_KEYS)
 
 
-def pathway_from_config(doc: dict, base: PathwayConfig = DEFAULT_VIDEO_CONFIG) -> PathwayConfig:
-    """Build a pathway config on top of ``base``, overriding present fields."""
-    return _replace(base, doc, PATHWAY_KEYS)
+def pathway_from_config(doc: dict, stage: StageConfig) -> PathwayConfig:
+    """Build a pathway config on the stage-sized default, overriding present fields."""
+    return _replace(default_pathway_for_stage(stage), doc, PATHWAY_KEYS)
 
 
 def sweep_rows(doc: dict) -> list[dict]:
     """Expand the sweep definition of a loaded document into per-row override dicts.
 
-    Explicit ``sweep`` rows win over a ``sweep_grid``; with neither, the
-    document itself is the single row.
+    With neither ``sweep`` nor ``sweep_grid``, the document itself is the
+    single row.
     """
     if "sweep" in doc:
         return doc["sweep"]
@@ -132,10 +136,10 @@ def sweep_rows(doc: dict) -> list[dict]:
     return [{}]
 
 
-def sweep_configs(doc: dict) -> tuple[list[PathwayConfig], list[str]]:
+def sweep_configs(doc: dict, stage: StageConfig) -> tuple[list[PathwayConfig], list[str]]:
     """Materialise sweep rows into pathway configs plus per-row labels."""
-    base = pathway_from_config(doc)
+    base = pathway_from_config(doc, stage)
     rows = sweep_rows(doc)
-    configs = [pathway_from_config(row, base) for row in rows]
+    configs = [_replace(base, row, PATHWAY_KEYS) for row in rows]
     labels = [str(row.get("label", f"row{i}")) for i, row in enumerate(rows)]
     return configs, labels

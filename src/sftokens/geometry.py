@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateResize, InvalidDuration
 
@@ -86,36 +86,52 @@ class AreaThresholds:
 
 @dataclass(frozen=True)
 class ResizePlan:
-    """Planned resize for one input: scale factor and patch-aligned target.
+    """Planned patch-aligned resize of ``source`` into the area band.
 
-    The stored scale is the real-valued factor; the target dimensions are
-    derived in exact integer arithmetic, so they are immune to the float
+    Both target dimensions are ``floor(dim * scale / patch) * patch``,
+    evaluated in exact integer arithmetic, so they are immune to the float
     rounding that can push ``height * scale`` just below an integer.
+    Flooring only shrinks, so a shrunk target never exceeds ``max_area``;
+    after the upscale branch it may land slightly under ``min_area``.
 
     Attributes:
-        scale: Positive resize factor applied to both dimensions.
-        target: Target resolution; both dimensions are multiples of patch.
-        patch: Patch size the target is aligned to.
-        below_min: True when flooring left the target area under the lower
-            area threshold (possible after the upscale branch); diagnostic only.
+        source: Input resolution.
+        thresholds: Area band to land in.
+        patch: Encoder patch size, an integer of at least 1.
+        scale: Derived: the real-valued factor ``compute_scale`` returns.
+        target: Derived: the patch-aligned target resolution.
+        below_min: Derived: True when flooring left the target area under
+            the lower area threshold; diagnostic only.
+
+    Raises:
+        DegenerateResize: If flooring yields zero rows or columns, i.e. the
+            input is too small relative to the patch size.
     """
 
-    scale: float
-    target: Resolution
+    source: Resolution
+    thresholds: AreaThresholds
     patch: int
-    below_min: bool = False
+    scale: float = field(init=False)
+    target: Resolution = field(init=False)
+    below_min: bool = field(init=False)
 
     def __post_init__(self) -> None:
         store_counts(self, "patch")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.patch < 1:
-            raise ValueError(f"patch must be positive, got {self.patch}")
-        if self.target.height % self.patch or self.target.width % self.patch:
-            raise ValueError(
-                f"target {self.target.height}x{self.target.width} is not a multiple of "
-                f"patch {self.patch}"
+        res, thresholds, patch = self.source, self.thresholds, self.patch
+        if patch < 1:
+            raise ValueError(f"patch must be positive, got {patch}")
+        area = res.area
+        clamped = min(max(area, thresholds.min_area), thresholds.max_area)
+        target_h = _scaled_floor_multiple(res.height, clamped, area, patch)
+        target_w = _scaled_floor_multiple(res.width, clamped, area, patch)
+        if target_h == 0 or target_w == 0:
+            raise DegenerateResize(
+                f"{res.height}x{res.width} with patch {patch} floors to "
+                f"{target_h}x{target_w}; input too small"
             )
+        object.__setattr__(self, "scale", compute_scale(res, thresholds))
+        object.__setattr__(self, "target", Resolution(target_h, target_w))
+        object.__setattr__(self, "below_min", target_h * target_w < thresholds.min_area)
 
 
 @dataclass(frozen=True)
@@ -137,40 +153,68 @@ class PatchGrid:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Planned frame timestamps for one clip.
+    """Planned frame timestamps for a clip of ``source_duration`` seconds.
+
+    Fixed-rate mode emits ``k / target_fps`` for ``k = 0 .. ceil(duration *
+    target_fps) - 1``; a fractional tail still yields a frame, so even a
+    very short clip produces one timestamp. When that count would exceed
+    ``max_frames``, the plan falls back to exactly ``max_frames`` bin-center
+    timestamps ``(i + 0.5) * duration / max_frames``.
+
+    The count reads ``duration`` and ``target_fps`` as the decimals they
+    print as, the values a caller wrote: 8.3 s at 30 fps holds the frames
+    ``k / 30 < 8.3``, which are 249, although the float product of 8.3 and
+    30 lies just above 249. So the plan always holds exactly that many
+    timestamps, and falls back only when that count exceeds the cap.
 
     Attributes:
-        mode: ``"fps"`` for fixed-rate sampling, ``"uniform-fallback"`` when
-            the fixed-rate count would exceed the frame cap.
-        timestamps: Strictly increasing times in seconds, all inside
-            ``[0, source_duration)``.
-        source_duration: Clip duration in seconds.
-        target_fps: Requested sampling rate.
-        max_frames: Frame cap that triggers the fallback.
+        source_duration: Clip length in seconds, strictly positive and finite.
+        target_fps: Sampling rate in frames per second, strictly positive.
+        max_frames: Frame cap, an integer of at least 1.
+        mode: Derived: ``"fps"`` for fixed-rate sampling,
+            ``"uniform-fallback"`` when the fixed-rate count exceeds the cap.
+        timestamps: Derived: strictly increasing times in seconds, all
+            inside ``[0, source_duration)``.
+
+    Raises:
+        InvalidDuration: If ``source_duration`` is not strictly positive and finite.
     """
 
-    mode: str
-    timestamps: tuple[float, ...]
     source_duration: float
     target_fps: float
     max_frames: int
+    mode: str = field(init=False)
+    timestamps: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        duration, target_fps = self.source_duration, self.target_fps
+        if not 0 < duration < math.inf:
+            raise InvalidDuration(f"duration must be positive and finite, got {duration}")
+        if not 0 < target_fps < math.inf:
+            raise ValueError(f"target_fps must be positive and finite, got {target_fps}")
         store_counts(self, "max_frames")
-        if self.mode not in (FPS_MODE, UNIFORM_FALLBACK_MODE):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if len(self.timestamps) > self.max_frames:
-            raise ValueError("sampling plan exceeds max_frames")
-        prev = -math.inf
-        for t in self.timestamps:
-            if not 0.0 <= t < self.source_duration:
-                raise ValueError(f"timestamp {t} outside [0, {self.source_duration})")
-            if t <= prev:
-                raise ValueError("timestamps must be strictly increasing")
-            prev = t
-        fps_count = _fps_count(self.source_duration, self.target_fps)
-        if (self.mode == UNIFORM_FALLBACK_MODE) != (fps_count > self.max_frames):
-            raise ValueError("mode inconsistent with fps-mode frame count")
+        max_frames = self.max_frames
+        if max_frames < 1:
+            raise ValueError(f"max_frames must be at least 1, got {max_frames}")
+
+        fps_count = _fps_count(duration, target_fps)
+        if fps_count > max_frames:
+            step = duration / max_frames
+            timestamps = tuple((i + 0.5) * step for i in range(max_frames))
+            mode = UNIFORM_FALLBACK_MODE
+        else:
+            timestamps = tuple(k / target_fps for k in range(fps_count))
+            if timestamps[-1] >= duration:
+                # The last frame lies before the duration exactly, but its
+                # quotient rounds up to it (1/29.97 s, computed in floats,
+                # holds two frames at 29.97 fps); it takes the last float
+                # before the duration.
+                timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
+            mode = FPS_MODE
+        object.__setattr__(self, "source_duration", float(duration))
+        object.__setattr__(self, "target_fps", float(target_fps))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "timestamps", timestamps)
 
 
 def compute_scale(res: Resolution, thresholds: AreaThresholds) -> float:
@@ -199,46 +243,8 @@ def _scaled_floor_multiple(dim: int, numerator: int, area: int, patch: int) -> i
 
 
 def plan_resize(res: Resolution, thresholds: AreaThresholds, patch: int) -> ResizePlan:
-    """Plan the patch-aligned resize of ``res`` into the area band.
-
-    Both target dimensions are ``floor(dim * scale / patch) * patch``,
-    evaluated exactly. Flooring only shrinks, so a shrunk target never
-    exceeds ``max_area``; after the upscale branch it may land slightly
-    under ``min_area``, which is reported via ``below_min``.
-
-    Args:
-        res: Input resolution.
-        thresholds: Area band to land in.
-        patch: Encoder patch size, an integer of at least 1.
-
-    Returns:
-        The resize plan.
-
-    Raises:
-        DegenerateResize: If flooring yields zero rows or columns, i.e. the
-            input is too small relative to the patch size.
-    """
-    if type(patch) is not int:
-        patch = as_count("patch", patch)
-    if patch < 1:
-        raise ValueError(f"patch must be positive, got {patch}")
-    area = res.area
-    clamped = min(max(area, thresholds.min_area), thresholds.max_area)
-    target_h = _scaled_floor_multiple(res.height, clamped, area, patch)
-    target_w = _scaled_floor_multiple(res.width, clamped, area, patch)
-
-    if target_h == 0 or target_w == 0:
-        raise DegenerateResize(
-            f"{res.height}x{res.width} with patch {patch} floors to "
-            f"{target_h}x{target_w}; input too small"
-        )
-    below_min = target_h * target_w < thresholds.min_area
-    return ResizePlan(
-        scale=compute_scale(res, thresholds),
-        target=Resolution(target_h, target_w),
-        patch=patch,
-        below_min=below_min,
-    )
+    """Plan the patch-aligned resize of ``res`` into the area band (see ``ResizePlan``)."""
+    return ResizePlan(res, thresholds, patch)
 
 
 def patch_grid(plan: ResizePlan) -> PatchGrid:
@@ -270,58 +276,5 @@ def _fps_count(duration: float, target_fps: float) -> int:
 
 
 def sample_frames(duration: float, target_fps: float = 1.0, max_frames: int = 128) -> SamplingPlan:
-    """Plan frame timestamps for a clip of ``duration`` seconds.
-
-    Fixed-rate mode emits ``k / target_fps`` for ``k = 0 .. ceil(duration *
-    target_fps) - 1``; a fractional tail still yields a frame, so even a
-    very short clip produces one timestamp. When that count would exceed
-    ``max_frames``, the plan falls back to exactly ``max_frames`` bin-center
-    timestamps ``(i + 0.5) * duration / max_frames``.
-
-    The count reads ``duration`` and ``target_fps`` as the decimals they
-    print as, the values a caller wrote: 8.3 s at 30 fps holds the frames
-    ``k / 30 < 8.3``, which are 249, although the float product of 8.3 and
-    30 lies just above 249. So the plan always holds exactly that many
-    timestamps, and falls back only when that count exceeds the cap.
-
-    Args:
-        duration: Clip length in seconds, strictly positive.
-        target_fps: Sampling rate in frames per second, strictly positive.
-        max_frames: Frame cap, an integer of at least 1.
-
-    Returns:
-        The sampling plan.
-
-    Raises:
-        InvalidDuration: If ``duration`` is not strictly positive and finite.
-    """
-    if not 0 < duration < math.inf:
-        raise InvalidDuration(f"duration must be positive and finite, got {duration}")
-    if not 0 < target_fps < math.inf:
-        raise ValueError(f"target_fps must be positive and finite, got {target_fps}")
-    if type(max_frames) is not int:
-        max_frames = as_count("max_frames", max_frames)
-    if max_frames < 1:
-        raise ValueError(f"max_frames must be at least 1, got {max_frames}")
-
-    fps_count = _fps_count(duration, target_fps)
-    if fps_count > max_frames:
-        step = duration / max_frames
-        timestamps = tuple((i + 0.5) * step for i in range(max_frames))
-        mode = UNIFORM_FALLBACK_MODE
-    else:
-        timestamps = tuple(k / target_fps for k in range(fps_count))
-        if timestamps[-1] >= duration:
-            # The last frame lies before the duration exactly, but its
-            # quotient rounds up to it (1/29.97 s, computed in floats, holds
-            # two frames at 29.97 fps); it takes the last float before the
-            # duration.
-            timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
-        mode = FPS_MODE
-    return SamplingPlan(
-        mode=mode,
-        timestamps=timestamps,
-        source_duration=float(duration),
-        target_fps=float(target_fps),
-        max_frames=max_frames,
-    )
+    """Plan frame timestamps for a clip of ``duration`` seconds (see ``SamplingPlan``)."""
+    return SamplingPlan(duration, target_fps, max_frames)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sftokens import (
     Arrangement,
+    BudgetReport,
     DEFAULT_VIDEO_CONFIG,
     InvalidOutputShape,
     NonDivisibleStride,
@@ -265,11 +266,30 @@ class TestValidateStage:
         assert validate_stage(stage) == ["max_image_area too small for one patch"]
 
     def test_video_band_below_one_patch_flagged_not_raised(self):
+        # The band, not the pathway, is at fault, as for the image band above.
         stage = replace(STAGE2, video_min_area=0, video_max_area=100)
+        assert validate_stage(stage) == ["video_max_area too small for one patch"]
+
+    def test_inverted_image_band_flagged(self):
+        stage = replace(STAGE2, min_image_area=500, max_image_area=400)
+        assert validate_stage(stage) == ["image area thresholds inverted: [500, 400]"]
+
+    def test_worst_case_image_overflow_flagged(self):
+        stage = replace(stage_one_defaults(), context_length=4096)
+        # 80*80 high-res + 576 low-res tokens at the 1280^2 cap.
         assert validate_stage(stage) == [
-            "pathway does not fit the stage frame grid: "
-            "10x10 with patch 16 floors to 0x0; input too small"
+            "worst-case image tokens 6976 + allowance 512 exceed context 4096"
         ]
+
+    def test_max_frames_without_video_band_flagged(self):
+        stage = replace(STAGE2, video_min_area=None, video_max_area=None)
+        assert validate_stage(stage) == [
+            "video stage needs both video_min_area and video_max_area"
+        ]
+
+    def test_video_band_without_max_frames_flagged(self):
+        stage = replace(STAGE2, max_frames=None)
+        assert validate_stage(stage) == ["video stage needs max_frames"]
 
 
 class TestReportShape:
@@ -292,3 +312,21 @@ class TestReportShape:
         rep = video_budget(cfg, GRID, STAGE2)
         # 28800 content + 128 separators stays 28K, not 28.928K rounded up.
         assert rep.rounded_k == 28
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40000), st.integers(0, 40000), st.integers(0, 200),
+        st.integers(0, 4096), st.integers(1, 32768), st.integers(0, 40000),
+    )
+    def test_replaced_count_recomputes_results(self, slow, fast, seps, allowance, context, new):
+        rep = replace(BudgetReport(slow, fast, seps, allowance, context), fast_tokens=new)
+        total = slow + new + seps
+        assert (rep.total_tokens, rep.rounded_k) == (total, (slow + new) // 1000)
+        assert rep.fits_context == (total + allowance <= context)
+        assert rep == BudgetReport(slow, new, seps, allowance, context)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(max_value=-1))
+    def test_negative_allowance_rejected(self, allowance):
+        with pytest.raises(ValueError, match="text_allowance must be a non-negative integer"):
+            BudgetReport(7200, 2048, 1, allowance, 16384)

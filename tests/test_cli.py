@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sftokens import cli, selfcheck
+from sftokens import cli, selfcheck, stage_two_defaults
 from sftokens.config import KNOWN_KEYS, PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
@@ -19,6 +19,9 @@ PINNED_ERRORS = [
 ] + [
     (["text_allowance=-1"], "error: text_allowance must be a non-negative integer, got -1\n"),
     (["stage=III"], "error: stage must be 'I' or 'II', got 'III'\n"),
+    # The default pathway is sized to max_frames, so a cap below 1 stops here.
+    (["max_frames=0"], "error: max_frames must be at least 1, got 0\n"),
+    (["max_frames=-5"], "error: max_frames must be at least 1, got -5\n"),
     # With two bad fields the record's first field is named.
     (["n_slow=1.5", "n_total=2.5"], "error: n_total must be an integer, got 2.5\n"),
 ]
@@ -96,6 +99,23 @@ class TestPlan:
         assert (code, out) == (1, "")
         assert "video_min_area and video_max_area must be set together" in err
 
+    def test_default_pathway_sized_to_the_stage_frame_cap(self, capsys):
+        # validate_stage sizes its default pathway to max_frames, and so does plan.
+        code, out, _ = run_cli(capsys, "plan", "--set", "max_frames=64", "--format", "csv")
+        assert (code, out.splitlines()[1]) == (0, "32,64,64,GSF,8224,1,8K,true")
+        code, out, err = run_cli(capsys, "plan", "--set", "max_frames=16", "--set", "n_slow=32")
+        assert (code, out, err) == (1, "", "error: n_slow must be in [0, 16], got 32\n")
+
+    @pytest.mark.parametrize("text, err", [
+        ('{"n_slow": ', "is not valid JSON: Expecting value: line 1 column 12 (char 11)\n"),
+        ("[1]", "must hold a JSON object\n"),
+    ])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, capsys, text, err):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, stderr = run_cli(capsys, "plan", "--config", str(cfg))
+        assert (code, out, stderr) == (1, "", f"error: config file {cfg} {err}")
+
     def test_image_plan_has_no_csv_form(self, capsys):
         code, _, err = run_cli(
             capsys, "plan", "--config", "table1_stage1.cfg", "--format", "csv"
@@ -134,6 +154,39 @@ class TestSweep:
         rows = json.loads(out)
         assert [r["content_tokens"] for r in rows] == [7200, 10800, 14400, 28800, 2048, 9248]
         assert rows[0]["label"] == "slow-only-32"
+
+    def test_table5_text(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--config", "table5.cfg", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[::4] == [
+            "spatial-pooling-2x2        slow=128 fast=0   total=128 ISF  "
+            "content=28800  (28K)  overflow",
+            "slowfast-32-128            slow=32  fast=128 total=128 GSF  "
+            "content=9248   ( 9K)  fits",
+        ]
+
+    def test_grid_sized_to_the_stage_frame_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--set", "max_frames=64",
+                               "--set", 'sweep_grid={"n_slow":[0,64]}')
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "0,64,64,GSF,1024,1,1K,true",
+            "64,64,64,GSF,15424,1,15K,true",
+        ]
+
+    @pytest.mark.parametrize("command, err", [
+        ("sweep", "sweep needs a video-capable stage config"),
+        ("arrange", "arrange needs grid_rows/grid_cols or a video-capable stage"),
+    ])
+    def test_image_only_stage_rejected(self, capsys, command, err):
+        code, out, stderr = run_cli(capsys, command, "--config", "table1_stage1.cfg")
+        assert (code, out, stderr) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    def test_both_sweep_forms_rejected(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--set", 'sweep=[{"n_slow":0}]',
+                                 "--set", 'sweep_grid={"n_slow":[32,64]}')
+        assert (code, out, err) == (1, "", "error: sweep and sweep_grid must not be set together\n")
 
     def test_sweep_grid_expansion(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -312,5 +365,5 @@ class TestPlumbing:
 
     def test_sweep_labels_default_to_row_index(self):
         doc = {"sweep": [{"n_slow": 0}, {"n_slow": 32}]}
-        _, labels = sweep_configs(doc)
+        _, labels = sweep_configs(doc, stage_two_defaults())
         assert labels == ["row0", "row1"]

@@ -1,6 +1,7 @@
 """Resize planning and frame sampling."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +41,14 @@ class TestTypes:
             AreaThresholds(-1, 100)
         assert AreaThresholds(0, 1).min_area == 0
 
-    def test_resize_plan_requires_patch_multiples(self):
-        with pytest.raises(ValueError):
-            ResizePlan(scale=1.0, target=Resolution(30, 32), patch=16)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(16, 4096), st.integers(16, 4096), st.sampled_from([1, 2, 8, 14, 16]))
+    def test_resize_plan_is_plan_resize(self, height, width, patch):
+        # Sides of at least one patch never floor to zero in VIDEO_BAND.
+        res = Resolution(height, width)
+        plan = ResizePlan(res, VIDEO_BAND, patch)
+        assert plan == plan_resize(res, VIDEO_BAND, patch)
+        assert (plan.source, plan.thresholds, plan.patch) == (res, VIDEO_BAND, patch)
 
     def test_patch_grid_tokens(self):
         assert PatchGrid(30, 30).tokens == 900
@@ -51,7 +57,7 @@ class TestTypes:
         res = Resolution(np.int64(480), np.uint16(640))
         band = AreaThresholds(np.int32(0), np.int64(480 * 480))
         patch = plan_resize(res, band, np.int64(16)).patch
-        max_frames = SamplingPlan("fps", (0.0,), 1.0, 1.0, np.uint8(128)).max_frames
+        max_frames = SamplingPlan(1.0, 1.0, np.uint8(128)).max_frames
         values = (res.height, res.width, band.min_area, band.max_area, patch, max_frames)
         assert values == (480, 640, 0, 480 * 480, 16, 128)
         assert all(type(v) is int for v in values)
@@ -71,12 +77,12 @@ class TestTypes:
         elif field in ("min_area", "max_area"):
             cls, fields = AreaThresholds, {"min_area": 0, "max_area": 100}
         elif field == "patch":
-            cls, fields = ResizePlan, {"scale": 1.0, "target": Resolution(32, 32), "patch": 16}
+            cls, fields = ResizePlan, {"source": Resolution(480, 640), "thresholds": VIDEO_BAND,
+                                       "patch": 16}
             with pytest.raises(ValueError, match="patch must be an integer"):
                 plan_resize(Resolution(480, 640), VIDEO_BAND, value)
         else:
-            cls, fields = SamplingPlan, {"mode": "fps", "timestamps": (0.0,),
-                                         "source_duration": 1.0, "target_fps": 1.0}
+            cls, fields = SamplingPlan, {"source_duration": 1.0, "target_fps": 1.0}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             cls(**{**fields, field: value})
 
@@ -319,3 +325,10 @@ class TestSamplingExactCount:
         ts = plan.timestamps
         assert 0.0 <= ts[0] and ts[-1] < duration
         assert all(a < b for a, b in zip(ts, ts[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_clip(), st.integers(1, 512))
+    def test_replaced_cap_replans(self, clip, new_cap):
+        duration, fps, cap = clip
+        plan = replace(sample_frames(duration, fps, cap), max_frames=new_cap)
+        assert plan == sample_frames(duration, fps, new_cap)
