@@ -16,7 +16,8 @@ from typing import Sequence
 
 from .errors import DegenerateResize, InvalidOutputShape, NonDivisibleStride
 from .geometry import (
-    AreaThresholds, PatchGrid, Resolution, as_count, patch_grid, plan_resize, store_counts
+    AreaThresholds, PatchGrid, Resolution, as_count, check_band, patch_grid, plan_resize,
+    store_counts,
 )
 from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, slow_grid
 
@@ -78,6 +79,7 @@ class StageConfig:
     def video_thresholds(self) -> AreaThresholds:
         if not self.has_video:
             raise ValueError(f"stage {self.stage} has no video thresholds")
+        check_band("video_min_area", self.video_min_area, "video_max_area", self.video_max_area)
         return AreaThresholds(self.video_min_area, self.video_max_area)
 
 
@@ -209,10 +211,18 @@ def worst_image_budget(
     Raises:
         DegenerateResize: If that square is smaller than one patch.
     """
-    side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
-    if side < stage.patch:
-        raise DegenerateResize("max_image_area too small for one patch")
+    side = _max_square_side(stage.max_image_area, stage.patch, "max_image_area")
+    side = side // stage.patch * stage.patch
     return image_budget(Resolution(side, side), stage, text_allowance)
+
+
+def _max_square_side(max_area: int, patch: int, name: str) -> int:
+    # A square inside max_area floors to no patch exactly when its side is
+    # below one patch, whatever the band's lower bound.
+    side = math.isqrt(max_area)
+    if side < patch:
+        raise DegenerateResize(f"{name} too small for one patch")
+    return side
 
 
 def sweep(
@@ -249,10 +259,14 @@ def sweep_csv(configs: Sequence[PathwayConfig], reports: Sequence[BudgetReport])
 
 
 def stage_video_grid(stage: StageConfig) -> PatchGrid:
-    """Per-frame patch grid for a square frame at the stage's max video area."""
-    side = math.isqrt(stage.video_max_area)
-    plan = plan_resize(Resolution(side, side), stage.video_thresholds(), stage.patch)
-    return patch_grid(plan)
+    """Per-frame patch grid for a square frame at the stage's max video area.
+
+    Raises:
+        DegenerateResize: If that square is smaller than one patch.
+    """
+    thresholds = stage.video_thresholds()
+    side = _max_square_side(stage.video_max_area, stage.patch, "video_max_area")
+    return patch_grid(plan_resize(Resolution(side, side), thresholds, stage.patch))
 
 
 def default_pathway_for_stage(stage: StageConfig) -> PathwayConfig:
@@ -321,8 +335,8 @@ def validate_stage(
             )
         try:
             grid = stage_video_grid(stage)
-        except DegenerateResize:
-            findings.append("video_max_area too small for one patch")
+        except DegenerateResize as exc:
+            findings.append(str(exc))
             return findings
         try:
             report = video_budget(cfg, grid, stage, text_allowance)

@@ -76,12 +76,15 @@ class AreaThresholds:
 
     def __post_init__(self) -> None:
         store_counts(self, "min_area", "max_area")
-        if self.min_area < 0:
-            raise ValueError(f"min_area must be non-negative, got {self.min_area}")
-        if self.min_area >= self.max_area:
-            raise ValueError(
-                f"min_area must be below max_area, got [{self.min_area}, {self.max_area}]"
-            )
+        check_band("min_area", self.min_area, "max_area", self.max_area)
+
+
+def check_band(low_name: str, low: int, high_name: str, high: int) -> None:
+    """Raise a ``ValueError`` naming the bound at fault unless ``0 <= low < high``."""
+    if low < 0:
+        raise ValueError(f"{low_name} must be non-negative, got {low}")
+    if low >= high:
+        raise ValueError(f"{low_name} must be below {high_name}, got [{low}, {high}]")
 
 
 @dataclass(frozen=True)

@@ -173,16 +173,21 @@ def slow_grid(cfg: PathwayConfig, grid: PatchGrid) -> tuple[int, int]:
     return grid.rows // cfg.stride_h, grid.cols // cfg.stride_w
 
 
-def _check_count(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
+def _check_frames(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
+    from .kernels import FrameGrid  # numpy loads on first pooling, not on import
+
     if len(frames) != cfg.n_total:
         raise ValueError(f"expected {cfg.n_total} frames, got {len(frames)}")
+    for i, frame in enumerate(frames):
+        if not isinstance(frame, FrameGrid):
+            raise TypeError(f"frame {i} must be a FrameGrid, got {type(frame).__name__}")
 
 
 def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
     """Pool the selected slow frames with the configured strides."""
-    from .kernels import avg_pool_strided  # numpy loads on first pooling, not on import
+    from .kernels import avg_pool_strided
 
-    _check_count(frames, cfg)
+    _check_frames(frames, cfg)
     return [
         avg_pool_strided(frames[i], cfg.stride_h, cfg.stride_w)
         for i in select_slow_frames(cfg.n_total, cfg.n_slow)
@@ -193,7 +198,7 @@ def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[Fr
     """Adaptively pool the fast frames down to the fast target grid."""
     from .kernels import avg_pool_adaptive
 
-    _check_count(frames, cfg)
+    _check_frames(frames, cfg)
     return [
         avg_pool_adaptive(frames[i], cfg.fast_rows, cfg.fast_cols)
         for i in fast_frame_indices(cfg)
@@ -254,9 +259,9 @@ def arrange_isf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
 
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
     """Check ``frames`` and the fit as ``plan_layout`` does, then pool both streams and arrange."""
+    _check_frames(frames, cfg)
     if len({frame.shape for frame in frames}) > 1:
         raise ValueError("all frames must share one shape")
-    _check_count(frames, cfg)
     slow_grid(cfg, PatchGrid(frames[0].rows, frames[0].cols))
     slow = zip(select_slow_frames(cfg.n_total, cfg.n_slow), run_slow_pathway(frames, cfg))
     fast = zip(fast_frame_indices(cfg), run_fast_pathway(frames, cfg))

@@ -25,6 +25,14 @@ PINNED_ERRORS = [
     # With two bad fields the record's first field is named.
     (["n_slow=1.5", "n_total=2.5"], "error: n_total must be an integer, got 2.5\n"),
 ]
+# Each video band fault names the stage keys the user set.
+VIDEO_BAND_ERRORS = [
+    (["video_min_area=0", "video_max_area=100"],
+     "error: video_max_area too small for one patch\n"),
+    (["video_min_area=-1"], "error: video_min_area must be non-negative, got -1\n"),
+    (["video_min_area=300000"],
+     "error: video_min_area must be below video_max_area, got [300000, 230400]\n"),
+]
 NON_ROW_KEYS = sorted(KNOWN_KEYS - PATHWAY_KEYS - {"label"})
 MALFORMED_GRIDS = [
     ("5", "sweep_grid must be a non-empty object of value lists"),
@@ -91,6 +99,13 @@ class TestPlan:
     def test_bad_value_exits_1_with_pinned_message(self, capsys, sets, err):
         argv = [arg for item in sets for arg in ("--set", item)]
         assert run_cli(capsys, "plan", *argv) == (1, "", err)
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    @pytest.mark.parametrize("sets, err", VIDEO_BAND_ERRORS,
+                             ids=[",".join(s) for s, _ in VIDEO_BAND_ERRORS])
+    def test_bad_video_band_names_its_keys(self, capsys, command, sets, err):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        assert run_cli(capsys, command, *argv) == (1, "", err)
 
     def test_half_set_video_band_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -312,6 +312,60 @@ class TestKernelProperties:
             assert np.array_equal(got, plain(x64, *args))
 
 
+@st.composite
+def _cache_case(draw):
+    x = draw(_grid_and_dtype())
+    rows, cols = x.shape[:2]
+    name = draw(st.sampled_from(["strided", "adaptive"]))
+    if name == "strided":
+        sizes = st.tuples(st.sampled_from([d for d in range(1, rows + 1) if rows % d == 0]),
+                          st.sampled_from([d for d in range(1, cols + 1) if cols % d == 0]))
+        misfit = NonDivisibleStride
+    else:
+        sizes = st.tuples(st.integers(1, rows), st.integers(1, cols))
+        misfit = InvalidOutputShape
+    bad = draw(st.sampled_from([
+        ((0, 1), misfit), ((rows + 1, 1), misfit), ((1, cols + 1), misfit), ((2.0, 1), ValueError),
+    ]))
+    return name, x, draw(sizes), draw(sizes), bad
+
+
+class TestPooledResults:
+    """Each pooling kernel keeps its results on the grid it pooled."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cache_case())
+    def test_repeat_call_returns_the_kept_result(self, case):
+        name, x, sizes, other, (bad, error) = case
+        kernel, oracle, _ = _KERNELS[name]
+        grid = FrameGrid(x)
+        first = kernel(grid, *sizes)
+        assert kernel(grid, *sizes) is first
+        assert kernel(grid, *map(np.int64, sizes)) is first
+        assert np.array_equal(first.values, kernel(FrameGrid(x), *sizes).values)
+        assert np.max(np.abs(first.values - oracle(grid, *sizes).values)) <= ORACLE_TOLERANCE
+        second = kernel(grid, *other)
+        assert (second is first) == (other == sizes)
+        assert np.array_equal(second.values, kernel(FrameGrid(x), *other).values)
+        with pytest.raises(error):
+            kernel(grid, *bad)
+        assert kernel(grid, *sizes) is first and kernel(grid, *other) is second
+        # The other pooling kernel at the same sizes keeps its own result.
+        twin = avg_pool_adaptive if kernel is avg_pool_strided else avg_pool_strided
+        if all(n % k == 0 for n, k in zip(grid.shape, sizes)):  # valid for both kernels
+            assert np.array_equal(twin(grid, *sizes).values, twin(FrameGrid(x), *sizes).values)
+
+        if first.shape == grid.shape:
+            return  # every output cell is one input cell, so no sum can overflow
+        # Finite float64 inputs whose sums overflow to inf: a call that
+        # raises keeps nothing, so the repeat raises too.
+        huge = FrameGrid(np.full(x.shape, 1.7e308))
+        with np.errstate(over="ignore"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="finite"):
+                    kernel(huge, *sizes)
+
+
 NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
 
 # Each kernel and loop oracle, with the names of its two size arguments and

@@ -30,6 +30,7 @@ from sftokens import (
     synth_features,
     video_budget,
 )
+from sftokens.config import load_config, stage_from_config, sweep_configs
 from sftokens.projector import SEPARATOR
 
 
@@ -164,10 +165,41 @@ class TestPathways:
         with pytest.raises(ValueError):
             run_fast_pathway(make_frames(5, 4, 4), PathwayConfig(n_total=4, n_slow=2))
 
+    @pytest.mark.parametrize("run", [project_video, run_slow_pathway, run_fast_pathway])
+    def test_frames_that_are_not_grids_rejected_by_index(self, run):
+        cfg = PathwayConfig(n_total=4, n_slow=2, fast_rows=2, fast_cols=2)
+        frames = make_frames(4, 4, 4)
+        frames[2] = frames[2].values
+        with pytest.raises(TypeError, match="^frame 2 must be a FrameGrid, got ndarray$"):
+            run(frames, cfg)
+        with pytest.raises(TypeError, match="^frame 0 must be a FrameGrid, got ndarray$"):
+            run(np.zeros((4, 4, 4, 1)), cfg)
+
     def test_mixed_frame_shapes_rejected(self):
         frames = make_frames(3, 4, 4) + make_frames(1, 2, 2)
         with pytest.raises(ValueError, match="share one shape"):
             project_video(frames, PathwayConfig(n_total=4, n_slow=2, fast_rows=2, fast_cols=2))
+
+
+class TestTable4OverOneClip:
+    """The Table 4 sweep over one list of frames pools each frame once per size."""
+
+    def test_rows_match_rows_on_freshly_wrapped_frames(self):
+        doc = load_config("table4.cfg")
+        configs, _ = sweep_configs(doc, stage_from_config(doc))
+        clip = np.random.default_rng(4).random((128, 30, 30, 4), dtype=np.float32)
+        shared = [FrameGrid(frame) for frame in clip]
+        for cfg in configs:
+            fresh = [FrameGrid(frame) for frame in clip[:cfg.n_total]]
+            frames = shared[:cfg.n_total]
+            got, want = project_video(frames, cfg), project_video(fresh, cfg)
+            assert got.layout_lines() == want.layout_lines()
+            for run in (run_slow_pathway, run_fast_pathway):
+                pooled = run(frames, cfg)
+                assert [g.values.tobytes() for g in pooled] == [
+                    g.values.tobytes() for g in run(fresh, cfg)
+                ]
+                assert all(a is b for a, b in zip(pooled, run(frames, cfg)))
 
 
 class TestArrangeGsf:
