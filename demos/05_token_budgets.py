@@ -4,6 +4,8 @@ Reproduces the design-choice and projector-comparison token columns
 pinned by the bundled sweep configs, then budgets image inputs.
 """
 
+from dataclasses import replace
+
 from sftokens import (
     Resolution,
     image_budget,
@@ -46,3 +48,9 @@ for stage in (stage_one_defaults(), stage_two_defaults()):
 
 # Stage validation: the stage II defaults are coherent.
 print(f"\nstage II findings: {validate_stage(stage_two_defaults()) or 'none'}")
+
+# A malformed stage is rejected where it is built, naming the key at fault.
+try:
+    replace(stage_two_defaults(), video_min_area=0, video_max_area=100)
+except ValueError as exc:
+    print(f"a 10x10 video band is rejected: {exc}")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import DegenerateResize, InvalidOutputShape, NonDivisibleStride
+from .errors import InvalidOutputShape, NonDivisibleStride
 from .geometry import (
     AreaThresholds, PatchGrid, Resolution, as_count, check_band, patch_grid, plan_resize,
     store_counts,
@@ -25,6 +25,7 @@ DEFAULT_TEXT_ALLOWANCE = 512
 
 STAGE_ONE = "I"
 STAGE_TWO = "II"
+VIDEO_KEYS = ("video_min_area", "video_max_area", "max_frames")
 
 SWEEP_CSV_HEADER = (
     "n_slow,n_fast,n_total,arrangement,content_tokens,separators,rounded_k,fits_context"
@@ -33,7 +34,15 @@ SWEEP_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class StageConfig:
-    """Training-stage limits: context window, image band, optional video band."""
+    """Training-stage limits: context window, image band, optional video band.
+
+    A stage that constructs is well formed. Each area band holds
+    ``0 <= min < max`` under its own key names, and each max area holds at
+    least one patch square. ``video_min_area``, ``video_max_area`` and
+    ``max_frames`` are all set (a video stage) or all unset (image-only),
+    and stage I sets none of them. Anything else raises a ``ValueError``
+    that names the key at fault.
+    """
 
     stage: str
     context_length: int
@@ -50,12 +59,14 @@ class StageConfig:
             raise ValueError(f"stage must be {STAGE_ONE!r} or {STAGE_TWO!r}, got {self.stage!r}")
         store_counts(self, "context_length", "min_image_area", "max_image_area", "base_image_side",
                      "patch")
-        optional = ("video_min_area", "video_max_area", "max_frames")
-        store_counts(self, *(name for name in optional if getattr(self, name) is not None))
-        if (self.video_min_area is None) != (self.video_max_area is None):
+        set_keys = [name for name in VIDEO_KEYS if getattr(self, name) is not None]
+        store_counts(self, *set_keys)
+        if self.stage == STAGE_ONE and set_keys:
+            raise ValueError(f"stage I is image-only but sets {', '.join(set_keys)}")
+        if 0 < len(set_keys) < len(VIDEO_KEYS):
+            shown = ", ".join(f"{name}={getattr(self, name)}" for name in VIDEO_KEYS)
             raise ValueError(
-                "video_min_area and video_max_area must be set together, got "
-                f"video_min_area={self.video_min_area}, video_max_area={self.video_max_area}"
+                f"video_min_area, video_max_area and max_frames must be set together, got {shown}"
             )
         if self.context_length < 1:
             raise ValueError("context_length must be positive")
@@ -68,10 +79,17 @@ class StageConfig:
                 f"base_image_side {self.base_image_side} must be a positive multiple of "
                 f"patch {self.patch}"
             )
+        bands = [("min_image_area", "max_image_area")]
+        if self.has_video:
+            bands.append(("video_min_area", "video_max_area"))
+        for low, high in bands:
+            check_band(low, getattr(self, low), high, getattr(self, high))
+            if getattr(self, high) < self.patch * self.patch:
+                raise ValueError(f"{high} too small for one patch")
 
     @property
     def has_video(self) -> bool:
-        return self.video_min_area is not None and self.video_max_area is not None
+        return self.max_frames is not None
 
     def image_thresholds(self) -> AreaThresholds:
         return AreaThresholds(self.min_image_area, self.max_image_area)
@@ -79,7 +97,6 @@ class StageConfig:
     def video_thresholds(self) -> AreaThresholds:
         if not self.has_video:
             raise ValueError(f"stage {self.stage} has no video thresholds")
-        check_band("video_min_area", self.video_min_area, "video_max_area", self.video_max_area)
         return AreaThresholds(self.video_min_area, self.video_max_area)
 
 
@@ -206,23 +223,9 @@ def image_budget(
 def worst_image_budget(
     stage: StageConfig, text_allowance: int = DEFAULT_TEXT_ALLOWANCE
 ) -> BudgetReport:
-    """Budget the stage's worst case image: the largest patch-aligned square in its max area.
-
-    Raises:
-        DegenerateResize: If that square is smaller than one patch.
-    """
-    side = _max_square_side(stage.max_image_area, stage.patch, "max_image_area")
-    side = side // stage.patch * stage.patch
+    """Budget the stage's worst case image: the largest patch-aligned square in its max area."""
+    side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
     return image_budget(Resolution(side, side), stage, text_allowance)
-
-
-def _max_square_side(max_area: int, patch: int, name: str) -> int:
-    # A square inside max_area floors to no patch exactly when its side is
-    # below one patch, whatever the band's lower bound.
-    side = math.isqrt(max_area)
-    if side < patch:
-        raise DegenerateResize(f"{name} too small for one patch")
-    return side
 
 
 def sweep(
@@ -259,13 +262,9 @@ def sweep_csv(configs: Sequence[PathwayConfig], reports: Sequence[BudgetReport])
 
 
 def stage_video_grid(stage: StageConfig) -> PatchGrid:
-    """Per-frame patch grid for a square frame at the stage's max video area.
-
-    Raises:
-        DegenerateResize: If that square is smaller than one patch.
-    """
+    """Per-frame patch grid for a square frame at the stage's max video area."""
     thresholds = stage.video_thresholds()
-    side = _max_square_side(stage.video_max_area, stage.patch, "video_max_area")
+    side = math.isqrt(stage.video_max_area)
     return patch_grid(plan_resize(Resolution(side, side), thresholds, stage.patch))
 
 
@@ -281,78 +280,48 @@ def validate_stage(
     pathway: PathwayConfig | None = None,
     text_allowance: int = DEFAULT_TEXT_ALLOWANCE,
 ) -> list[str]:
-    """Check a stage configuration for inconsistencies.
+    """Judge a well-formed stage and its pathway.
 
-    Returns human-readable findings; an empty list means the configuration
-    is coherent. Video findings are evaluated against ``pathway`` (the
-    stage-sized default when omitted) at the stage's max-area frame grid.
+    ``StageConfig`` rejects a malformed stage where it is built, so this
+    returns verdicts only: worst-case image overflow, then on a video stage
+    the frame cap, the pathway's fit to the stage's max-area frame grid,
+    video overflow and a fast grid that is not coarser than the pooled slow
+    grid. ``pathway`` defaults to the stage-sized default. Findings are
+    human-readable; an empty list means the configuration is coherent.
     """
     findings: list[str] = []
 
-    if stage.min_image_area >= stage.max_image_area:
+    image_rep = worst_image_budget(stage, text_allowance)
+    if not image_rep.fits_context:
         findings.append(
-            f"image area thresholds inverted: [{stage.min_image_area}, {stage.max_image_area}]"
+            f"worst-case image tokens {image_rep.total_tokens} + allowance "
+            f"{text_allowance} exceed context {stage.context_length}"
         )
-
-    has_video_field = (
-        stage.video_min_area is not None
-        or stage.video_max_area is not None
-        or stage.max_frames is not None
-    )
-    if stage.stage == STAGE_ONE and has_video_field:
-        findings.append("stage I is image-only but has video fields set")
+    if not stage.has_video:
         return findings
 
-    if stage.min_image_area < stage.max_image_area:
-        try:
-            image_rep = worst_image_budget(stage, text_allowance)
-            if not image_rep.fits_context:
-                findings.append(
-                    f"worst-case image tokens {image_rep.total_tokens} + allowance "
-                    f"{text_allowance} exceed context {stage.context_length}"
-                )
-        except DegenerateResize as exc:
-            findings.append(str(exc))
-
-    if has_video_field:
-        if not stage.has_video:
-            findings.append("video stage needs both video_min_area and video_max_area")
-            return findings
-        if stage.video_min_area >= stage.video_max_area:
+    cfg = pathway or default_pathway_for_stage(stage)
+    if cfg.n_total > stage.max_frames:
+        findings.append(
+            f"pathway wants {cfg.n_total} frames but the stage samples at most "
+            f"{stage.max_frames}"
+        )
+    grid = stage_video_grid(stage)
+    try:
+        report = video_budget(cfg, grid, stage, text_allowance)
+    except (NonDivisibleStride, InvalidOutputShape) as exc:
+        findings.append(f"pathway does not fit the stage frame grid: {exc}")
+        return findings
+    if not report.fits_context:
+        findings.append(
+            f"video tokens {report.total_tokens} + allowance {text_allowance} "
+            f"exceed context {stage.context_length}"
+        )
+    if cfg.n_slow and cfg.n_fast:
+        slow_area = math.prod(slow_grid(cfg, grid))
+        if cfg.fast_tokens_per_frame >= slow_area:
             findings.append(
-                f"video area thresholds inverted: [{stage.video_min_area}, {stage.video_max_area}]"
+                f"fast grid ({cfg.fast_tokens_per_frame} tokens/frame) is not coarser "
+                f"than the pooled slow grid ({slow_area} tokens/frame)"
             )
-            return findings
-        if stage.max_frames is None:
-            findings.append("video stage needs max_frames")
-            return findings
-
-        cfg = pathway or default_pathway_for_stage(stage)
-        if cfg.n_total > stage.max_frames:
-            findings.append(
-                f"pathway wants {cfg.n_total} frames but the stage samples at most "
-                f"{stage.max_frames}"
-            )
-        try:
-            grid = stage_video_grid(stage)
-        except DegenerateResize as exc:
-            findings.append(str(exc))
-            return findings
-        try:
-            report = video_budget(cfg, grid, stage, text_allowance)
-        except (NonDivisibleStride, InvalidOutputShape) as exc:
-            findings.append(f"pathway does not fit the stage frame grid: {exc}")
-            return findings
-        if not report.fits_context:
-            findings.append(
-                f"video tokens {report.total_tokens} + allowance {text_allowance} "
-                f"exceed context {stage.context_length}"
-            )
-        if cfg.n_slow and cfg.n_fast:
-            slow_area = math.prod(slow_grid(cfg, grid))
-            if cfg.fast_tokens_per_frame >= slow_area:
-                findings.append(
-                    f"fast grid ({cfg.fast_tokens_per_frame} tokens/frame) is not coarser "
-                    f"than the pooled slow grid ({slow_area} tokens/frame)"
-                )
     return findings

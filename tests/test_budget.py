@@ -184,10 +184,41 @@ class TestStageConfig:
         with pytest.raises(ValueError):
             stage_one_defaults().video_thresholds()
 
-    @pytest.mark.parametrize("unset", ["video_min_area", "video_max_area"])
+    @pytest.mark.parametrize("unset", ["video_min_area", "video_max_area", "max_frames"])
     def test_half_set_video_band_rejected(self, unset):
-        with pytest.raises(ValueError, match="video_min_area and video_max_area must be set together"):
+        with pytest.raises(ValueError, match="video_min_area, video_max_area and max_frames "
+                                             "must be set together"):
             replace(STAGE2, **{unset: None})
+
+    @pytest.mark.parametrize("base, changes, message", [
+        pytest.param(stage_one_defaults(),
+                     dict(video_min_area=82944, video_max_area=230400, max_frames=128),
+                     "stage I is image-only but sets video_min_area, video_max_area, max_frames",
+                     id="stage_one_with_video_fields"),
+        pytest.param(STAGE2, dict(video_min_area=230400, video_max_area=82944),
+                     "video_min_area must be below video_max_area, got [230400, 82944]",
+                     id="inverted_video_band"),
+        pytest.param(stage_one_defaults(), dict(max_image_area=100),
+                     "max_image_area too small for one patch", id="image_cap_below_one_patch"),
+        # The band, not the pathway, is at fault, as for the image band above.
+        pytest.param(STAGE2, dict(video_min_area=0, video_max_area=100),
+                     "video_max_area too small for one patch", id="video_band_below_one_patch"),
+        pytest.param(STAGE2, dict(min_image_area=500, max_image_area=400),
+                     "min_image_area must be below max_image_area, got [500, 400]",
+                     id="inverted_image_band"),
+        pytest.param(STAGE2, dict(video_min_area=None, video_max_area=None),
+                     "video_min_area, video_max_area and max_frames must be set together, got "
+                     "video_min_area=None, video_max_area=None, max_frames=128",
+                     id="max_frames_without_video_band"),
+        pytest.param(STAGE2, dict(max_frames=None),
+                     "video_min_area, video_max_area and max_frames must be set together, got "
+                     "video_min_area=82944, video_max_area=230400, max_frames=None",
+                     id="video_band_without_max_frames"),
+    ])
+    def test_malformed_stage_rejected_where_built(self, base, changes, message):
+        with pytest.raises(ValueError) as info:
+            replace(base, **changes)
+        assert str(info.value) == message
 
     def test_numpy_integers_stored_as_int(self):
         stage = replace(STAGE2, context_length=np.int64(16384), max_frames=np.uint8(128),
@@ -239,17 +270,6 @@ class TestValidateStage:
         assert len(findings) == 1
         assert "28928" in findings[0] and "16384" in findings[0]
 
-    def test_stage_one_with_video_fields_flagged(self):
-        stage = replace(stage_one_defaults(), video_min_area=82944,
-                        video_max_area=230400, max_frames=128)
-        findings = validate_stage(stage)
-        assert any("image-only" in f for f in findings)
-
-    def test_inverted_video_band_flagged(self):
-        stage = replace(STAGE2, video_min_area=230400, video_max_area=82944)
-        findings = validate_stage(stage)
-        assert any("inverted" in f for f in findings)
-
     def test_pathway_frame_cap_flagged(self):
         cfg = PathwayConfig(n_total=256, n_slow=32)
         findings = validate_stage(STAGE2, pathway=cfg)
@@ -260,36 +280,12 @@ class TestValidateStage:
         findings = validate_stage(STAGE2, pathway=cfg)
         assert any("coarser" in f for f in findings)
 
-    def test_image_cap_below_one_patch_flagged(self):
-        # `sft plan` exits 1 on this stage, so validation must not pass it.
-        stage = replace(stage_one_defaults(), max_image_area=100)
-        assert validate_stage(stage) == ["max_image_area too small for one patch"]
-
-    def test_video_band_below_one_patch_flagged_not_raised(self):
-        # The band, not the pathway, is at fault, as for the image band above.
-        stage = replace(STAGE2, video_min_area=0, video_max_area=100)
-        assert validate_stage(stage) == ["video_max_area too small for one patch"]
-
-    def test_inverted_image_band_flagged(self):
-        stage = replace(STAGE2, min_image_area=500, max_image_area=400)
-        assert validate_stage(stage) == ["image area thresholds inverted: [500, 400]"]
-
     def test_worst_case_image_overflow_flagged(self):
         stage = replace(stage_one_defaults(), context_length=4096)
         # 80*80 high-res + 576 low-res tokens at the 1280^2 cap.
         assert validate_stage(stage) == [
             "worst-case image tokens 6976 + allowance 512 exceed context 4096"
         ]
-
-    def test_max_frames_without_video_band_flagged(self):
-        stage = replace(STAGE2, video_min_area=None, video_max_area=None)
-        assert validate_stage(stage) == [
-            "video stage needs both video_min_area and video_max_area"
-        ]
-
-    def test_video_band_without_max_frames_flagged(self):
-        stage = replace(STAGE2, max_frames=None)
-        assert validate_stage(stage) == ["video stage needs max_frames"]
 
 
 class TestReportShape:

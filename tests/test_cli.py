@@ -1,13 +1,18 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sftokens import cli, selfcheck, stage_two_defaults
+from sftokens import StageConfig, cli, selfcheck, stage_two_defaults, stage_video_grid, validate_stage
+from sftokens.budget import worst_image_budget
 from sftokens.config import KNOWN_KEYS, PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
@@ -33,6 +38,26 @@ VIDEO_BAND_ERRORS = [
     (["video_min_area=300000"],
      "error: video_min_area must be below video_max_area, got [300000, 230400]\n"),
 ]
+# Each malformed stage fails where it is built, before any budget is planned.
+STAGE_1 = ["--config", "table1_stage1.cfg"]
+VIDEO_BAND = ["--set", "video_min_area=82944", "--set", "video_max_area=230400"]
+THREE_FIELDS = "video_min_area, video_max_area and max_frames must be set together, got"
+STAGE_RULE_ERRORS = [
+    (["--set", "min_image_area=500", "--set", "max_image_area=400"],
+     "min_image_area must be below max_image_area, got [500, 400]"),
+    (["--set", "max_image_area=100"], "max_image_area too small for one patch"),
+    (["--set", "max_frames=null"],
+     f"{THREE_FIELDS} video_min_area=82944, video_max_area=230400, max_frames=None"),
+    (["--set", "video_min_area=null", "--set", "video_max_area=null"],
+     f"{THREE_FIELDS} video_min_area=None, video_max_area=None, max_frames=128"),
+    ([*STAGE_1, "--set", "max_frames=64"], "stage I is image-only but sets max_frames"),
+    ([*STAGE_1, *VIDEO_BAND], "stage I is image-only but sets video_min_area, video_max_area"),
+    ([*STAGE_1, *VIDEO_BAND, "--set", "max_frames=128"],
+     "stage I is image-only but sets video_min_area, video_max_area, max_frames"),
+    (["--config", "table1_stage2.cfg", "--set", "stage=I"],
+     "stage I is image-only but sets video_min_area, video_max_area, max_frames"),
+    ([*STAGE_1, "--set", "min_image_area=-1"], "min_image_area must be non-negative, got -1"),
+]
 NON_ROW_KEYS = sorted(KNOWN_KEYS - PATHWAY_KEYS - {"label"})
 MALFORMED_GRIDS = [
     ("5", "sweep_grid must be a non-empty object of value lists"),
@@ -48,6 +73,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_quiet(argv):
+    """``run_cli`` without the capsys fixture, for use under hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestPlan:
@@ -112,7 +145,25 @@ class TestPlan:
             capsys, "plan", "--config", "table1_stage2.cfg", "--set", "video_max_area=null"
         )
         assert (code, out) == (1, "")
-        assert "video_min_area and video_max_area must be set together" in err
+        assert f"{THREE_FIELDS} video_min_area=82944, video_max_area=None, max_frames=128" in err
+
+    @pytest.mark.parametrize("argv, err", STAGE_RULE_ERRORS,
+                             ids=[" ".join(a) for a, _ in STAGE_RULE_ERRORS])
+    def test_malformed_stage_exits_1_with_pinned_message(self, capsys, argv, err):
+        assert run_cli(capsys, "plan", *argv) == (1, "", f"error: {err}\n")
+
+    def test_image_only_stage_two_plans_image_budget(self, capsys):
+        unset = [arg for key in ("video_min_area", "video_max_area", "max_frames")
+                 for arg in ("--set", f"{key}=null")]
+        code, out, err = run_cli(capsys, "plan", *unset)
+        assert (code, err) == (0, "")
+        # Worst case at 1536^2: 96*96 high-res + 576 low-res tokens.
+        assert json.loads(out)["content_tokens"] == 9216 + 576
+
+    def test_top_level_label_is_unknown(self, capsys):
+        assert run_cli(capsys, "plan", "--set", "label=x") == (
+            1, "", "error: unknown keys in config: label\n"
+        )
 
     def test_default_pathway_sized_to_the_stage_frame_cap(self, capsys):
         # validate_stage sizes its default pathway to max_frames, and so does plan.
@@ -244,6 +295,13 @@ class TestSweep:
     def test_malformed_sweep_grid_rejected_by_every_command(self, capsys, command, value, message):
         code, out, err = run_cli(capsys, command, "--set", f"sweep_grid={value}")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_row_values_checked_only_where_rows_are_built(self, capsys):
+        bad_row = ["--set", 'sweep=[{"n_slow":"a"}]']
+        assert run_cli(capsys, "plan", *bad_row)[0] == 0
+        assert run_cli(capsys, "sweep", *bad_row) == (
+            1, "", "error: n_slow must be an integer, got 'a'\n"
+        )
 
     def test_non_list_sweep_in_a_file_exits_without_traceback(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -382,3 +440,74 @@ class TestPlumbing:
         doc = {"sweep": [{"n_slow": 0}, {"n_slow": 32}]}
         _, labels = sweep_configs(doc, stage_two_defaults())
         assert labels == ["row0", "row1"]
+
+
+MISFIT = "pathway does not fit the stage frame grid: "
+AREAS = st.integers(-2, 4_000_000)
+DRAWN = ("stage", "context_length", "min_image_area", "max_image_area", "video_min_area",
+         "video_max_area", "max_frames", "patch")
+
+
+@st.composite
+def stage_fields(draw):
+    """Both stages, each band as a low bound and a width that may be negative, and
+    each video field unset in a quarter of the draws, independently."""
+    fields = {"stage": draw(st.sampled_from(["I", "II"])),
+              "context_length": draw(st.integers(0, 40_000))}
+    for low, high in (("min_image_area", "max_image_area"), ("video_min_area", "video_max_area")):
+        fields[low] = draw(AREAS)
+        fields[high] = fields[low] + draw(AREAS)
+    fields["max_frames"] = draw(st.integers(-1, 300))
+    for key in ("video_min_area", "video_max_area", "max_frames"):
+        if draw(st.sampled_from([False, False, False, True])):
+            fields[key] = None
+    fields["patch"] = draw(st.sampled_from([14, 16, 32]))
+    return fields
+
+
+def drawn(*values):
+    return dict(zip(DRAWN, values))
+
+
+class TestStageRule:
+    """A stage either fails where it is built or ``sft plan`` agrees with ``validate_stage``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(stage_fields())
+    @example(drawn("II", 16384, 0, 1536 ** 2, 82944, 230400, 128, 16))  # the stage II defaults
+    @example(drawn("I", 8192, 0, 1280 ** 2, None, None, None, 16))  # the stage I defaults
+    @example(drawn("II", 16384, 0, 1536 ** 2, 0, (31 * 16) ** 2, 128, 16))  # odd 31x31 grid
+    @example(drawn("II", 9000, 0, 1536 ** 2, 82944, 230400, 128, 16))  # video overflow
+    @example(drawn("II", 10000, 0, 1536 ** 2, 82944, 230400, 128, 16))  # only the image overflows
+    @example(drawn("II", 16384, 0, 1536 ** 2, None, None, None, 16))  # image-only stage II
+    @example(drawn("II", 16384, 0, 1536 ** 2, 0, 16 ** 2, 4, 16))  # 1x1 grid under a 4x4 fast grid
+    @example(drawn("II", 16384, 0, 16 ** 2 - 1, 82944, 230400, 128, 16))  # image cap under a patch
+    @example(drawn("I", 16384, -1, 400, None, None, None, 16))  # negative image bound
+    def test_plan_agrees_with_validate_stage(self, fields):
+        fields = {**fields, "base_image_side": 448}  # a multiple of every drawn patch
+        argv = ["plan"] + [arg for key, value in fields.items()
+                           for arg in ("--set", f"{key}={json.dumps(value)}")]
+        code, out, err = run_cli_quiet(argv)
+        try:
+            stage = StageConfig(**fields)
+        except ValueError as exc:
+            assert str(exc).split()[0].rstrip(",") in STAGE_KEYS
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+            return
+
+        worst_image_budget(stage)
+        if stage.has_video:
+            stage_video_grid(stage)
+        findings = validate_stage(stage)
+        misfits = [f[len(MISFIT):] for f in findings if f.startswith(MISFIT)]
+        # plan budgets the video on a video stage and the worst-case image otherwise.
+        planned = "video tokens " if stage.has_video else "worst-case image tokens "
+        overflows = [f for f in findings if f.startswith(planned)]
+        if misfits:
+            assert (code, out, err) == (1, "", f"error: {misfits[0]}\n")
+        elif overflows:
+            assert (code, err) == (2, "")
+            assert json.loads(out)["fits_context"] is False
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["fits_context"] is True

@@ -20,7 +20,10 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
 
 
 # A line each demo must print, where one pins a published count.
-EXPECTED_LINES = {"04_token_arrangements": "deployment GSF: 9248 content tokens, 1 separator"}
+EXPECTED_LINES = {
+    "04_token_arrangements": "deployment GSF: 9248 content tokens, 1 separator",
+    "05_token_budgets": "a 10x10 video band is rejected: video_max_area too small for one patch",
+}
 
 
 def test_demos_found():
