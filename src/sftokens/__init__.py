@@ -73,11 +73,13 @@ _KERNEL_NAMES = {
 
 
 def __getattr__(name: str):
-    # PEP 562: reached only for names not bound yet, so numpy loads on first use.
+    # PEP 562: reached only for names not bound yet, so numpy loads on first
+    # use. A kernel name is then bound here, so later lookups skip this hook.
     if name in ("kernels", "selfcheck"):
         return importlib.import_module(f".{name}", __name__)
     if name in _KERNEL_NAMES:
-        return getattr(importlib.import_module(".kernels", __name__), name)
+        value = globals()[name] = getattr(importlib.import_module(".kernels", __name__), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

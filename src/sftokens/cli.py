@@ -100,9 +100,17 @@ def _plan_text(report: budget.BudgetReport) -> str:
     return "\n".join(lines)
 
 
+def _check_rows(doc: dict, stage: budget.StageConfig) -> None:
+    # plan and arrange use the base pathway alone, but build the rows that
+    # sweep would, so a bad row value fails the same in every command.
+    if "sweep" in doc or "sweep_grid" in doc:
+        cfgmod.sweep_configs(doc, stage)
+
+
 def _cmd_plan(args) -> int:
     doc = cfgmod.load_config(args.config, args.overrides)
     stage = cfgmod.stage_from_config(doc)
+    _check_rows(doc, stage)
     allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
     fmt = args.format or "json"
 
@@ -163,6 +171,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_arrange(args) -> int:
     doc = cfgmod.load_config(args.config, args.overrides)
     stage = cfgmod.stage_from_config(doc)
+    _check_rows(doc, stage)
     pathway = cfgmod.pathway_from_config(doc, stage)
     if "grid_rows" in doc or "grid_cols" in doc:
         if not ("grid_rows" in doc and "grid_cols" in doc):

@@ -7,9 +7,9 @@ defaults are sized to the stage's frame cap. Sweeps add either a ``sweep``
 list of per-row overrides or a ``sweep_grid`` mapping of field to value
 list (expanded as a cross product in key order), never both. Rows and grid
 keys set pathway fields only, and a row may add a ``label``;
-``load_config`` checks both forms' shape and keys, so every command rejects
-a malformed sweep, while row values are checked only where
-``sweep_configs`` builds the rows.
+``load_config`` checks both forms' shape and keys, and row values are
+checked where ``sweep_configs`` builds the rows, which every command does,
+so every command rejects a malformed sweep.
 """
 
 from __future__ import annotations

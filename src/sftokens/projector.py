@@ -184,25 +184,21 @@ def _check_frames(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
 
 
 def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
-    """Pool the selected slow frames with the configured strides."""
-    from .kernels import avg_pool_strided
+    """Pool the selected slow frames as ``avg_pool_strided`` does, stacking same-shape frames."""
+    from .kernels import _pool
 
     _check_frames(frames, cfg)
-    return [
-        avg_pool_strided(frames[i], cfg.stride_h, cfg.stride_w)
-        for i in select_slow_frames(cfg.n_total, cfg.n_slow)
-    ]
+    slow = [frames[i] for i in select_slow_frames(cfg.n_total, cfg.n_slow)]
+    return _pool(slow, "strided", cfg.stride_h, cfg.stride_w)
 
 
 def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
-    """Adaptively pool the fast frames down to the fast target grid."""
-    from .kernels import avg_pool_adaptive
+    """Pool the fast frames as ``avg_pool_adaptive`` does, stacking same-shape frames."""
+    from .kernels import _pool
 
     _check_frames(frames, cfg)
-    return [
-        avg_pool_adaptive(frames[i], cfg.fast_rows, cfg.fast_cols)
-        for i in fast_frame_indices(cfg)
-    ]
+    fast = [frames[i] for i in fast_frame_indices(cfg)]
+    return _pool(fast, "adaptive", cfg.fast_rows, cfg.fast_cols)
 
 
 Pairs = Iterable[tuple[int, "FrameGrid"]]  # (frame index, pooled grid), ascending

@@ -134,13 +134,15 @@ def test_resize_property_suite():
 
 @criterion("oracle equivalence: 1,000 grids per kernel within 1e-6, affine 1e-9")
 def test_oracle_equivalence():
-    start = time.perf_counter()
+    # CPU time of this process: the bound is on the work, not on the host's
+    # other jobs.
+    start = time.process_time()
     results = [
         selfcheck.check_kernel_oracle(name, seed=42, trials=1000)
         for name in ("avg_pool_strided", "avg_pool_adaptive", "bilinear_resample")
     ]
     results.append(selfcheck.check_bilinear_affine(seed=42, trials=1000))
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     for res in results:
         assert res.passed, f"{res.name}: {res.detail}"
     assert elapsed < 10.0

@@ -296,12 +296,21 @@ class TestSweep:
         code, out, err = run_cli(capsys, command, "--set", f"sweep_grid={value}")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_row_values_checked_only_where_rows_are_built(self, capsys):
-        bad_row = ["--set", 'sweep=[{"n_slow":"a"}]']
-        assert run_cli(capsys, "plan", *bad_row)[0] == 0
-        assert run_cli(capsys, "sweep", *bad_row) == (
-            1, "", "error: n_slow must be an integer, got 'a'\n"
+    def test_row_values_checked_by_every_command(self, capsys):
+        # plan and arrange used to ignore row values and exit 0.
+        error = (1, "", "error: n_slow must be an integer, got 'a'\n")
+        for sweep in ('sweep=[{"n_slow":"a"}]', 'sweep_grid={"n_slow":[0,"a"]}'):
+            for command in ("plan", "sweep", "arrange"):
+                assert run_cli(capsys, command, "--set", sweep) == error
+        image_stage = ["--config", "table1_stage1.cfg", "--set", 'sweep=[{"n_slow":"a"}]']
+        assert run_cli(capsys, "plan", *image_stage) == error
+        assert run_cli(capsys, "plan", "--set", 'sweep=[{"n_slow":999}]') == (
+            1, "", "error: n_slow must be in [0, 128], got 999\n"
         )
+        # Rows that build leave plan and arrange to the base pathway.
+        for command in ("plan", "arrange"):
+            good = run_cli(capsys, command, "--set", 'sweep=[{"n_slow":0}]')
+            assert good == run_cli(capsys, command)
 
     def test_non_list_sweep_in_a_file_exits_without_traceback(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

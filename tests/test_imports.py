@@ -100,6 +100,31 @@ def test_numpy_backed_submodules_resolve():
     assert sftokens.selfcheck.__name__ == "sftokens.selfcheck"
 
 
+# Checks the numpy-backed names in a fresh process, where nothing has
+# touched them yet; with "block", numpy cannot be imported.
+FIRST_USE = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import sftokens
+assert sys.modules.get("numpy") is None and "FrameGrid" not in vars(sftokens)
+try:
+    grid = sftokens.FrameGrid
+except ImportError:
+    assert sys.argv[1] == "block" and "FrameGrid" not in vars(sftokens)
+else:
+    assert vars(sftokens)["FrameGrid"] is grid is sftokens.kernels.FrameGrid
+    assert "avg_pool_strided" not in vars(sftokens)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("mode", ["normal", "block"])
+def test_kernel_names_bound_on_first_use(mode):
+    done = run_python("-c", FIRST_USE, mode)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         sftokens.no_such_name  # noqa: B018

@@ -1,6 +1,7 @@
 """Slow/fast pathway execution and token arrangement."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from sftokens import (
     TokenBlock,
     arrange_gsf,
     arrange_isf,
+    avg_pool_adaptive,
+    avg_pool_strided,
     fast_frame_indices,
+    kernels,
     plan_layout,
     project_video,
     run_fast_pathway,
@@ -200,6 +204,90 @@ class TestTable4OverOneClip:
                     g.values.tobytes() for g in run(fresh, cfg)
                 ]
                 assert all(a is b for a, b in zip(pooled, run(frames, cfg)))
+
+
+@st.composite
+def _stack_case(draw):
+    """Frames of two shapes, a pathway config that fits both, and a stack bound."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    channels = draw(st.sampled_from([1, 2, 5]))
+    fast_rows = draw(st.integers(1, 2))
+    # Rows per adaptive bin: the rows after a bin's first take the three
+    # branches of the row-bin sum, under 8, 8 to 128 and over 128.
+    per_bin = draw(st.one_of(st.integers(1, 8), st.integers(9, 129), st.integers(130, 200)))
+    rows = fast_rows * per_bin + draw(st.integers(0, fast_rows - 1))
+    stride_h = draw(st.sampled_from([d for d in (1, 2, 3, 4) if rows % d == 0]))
+    stride_w = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    cols = [stride_w * k for k in widths]
+    fast_cols = draw(st.integers(1, min(cols)))
+    n_total = draw(st.one_of(st.integers(1, 40), st.integers(30, 40)))
+    shapes = draw(st.lists(st.integers(0, 1), min_size=n_total, max_size=n_total))
+    if draw(st.booleans()):
+        shapes.sort()  # two long runs rather than many short ones
+    # Exponents far apart, so any change in the order of additions shows.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [
+        (rng.standard_normal((rows, cols[s], channels))
+         * 10.0 ** rng.integers(-20, 20, (rows, cols[s], channels))).astype(dtype)
+        for s in shapes
+    ]
+    cfg = PathwayConfig(n_total=n_total, n_slow=draw(st.integers(0, n_total)),
+                        stride_h=stride_h, stride_w=stride_w, fast_rows=fast_rows,
+                        fast_cols=fast_cols, arrangement=draw(st.sampled_from(list(Arrangement))))
+    # Stacks of one, two, a few or every frame of a run.
+    bound = draw(st.sampled_from([1, 2, 3, 7, 40])) * values[0].nbytes
+    kept = draw(st.sets(st.integers(0, n_total - 1), max_size=4))
+    return values, cfg, bound, kept
+
+
+class TestStackedPooling:
+    """The pathways pool runs of same-shape frames in stacks, bit-identical to one frame alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stack_case())
+    def test_results_match_single_frames(self, case):
+        values, cfg, bound, kept = case
+        frames = [FrameGrid(v) for v in values]
+        pathways = [
+            (run_slow_pathway, avg_pool_strided, (cfg.stride_h, cfg.stride_w),
+             select_slow_frames(cfg.n_total, cfg.n_slow)),
+            (run_fast_pathway, avg_pool_adaptive, (cfg.fast_rows, cfg.fast_cols),
+             fast_frame_indices(cfg)),
+        ]
+        with mock.patch.object(kernels, "_STACK_BYTES", bound):
+            for run, kernel, sizes, indices in pathways:
+                # Frames pooled alone first split the runs the pathway stacks.
+                early = {i: kernel(frames[i], *sizes) for i in kept}
+                pooled = run(frames, cfg)
+                assert len(pooled) == len(indices)
+                for i, got in zip(indices, pooled):
+                    want = kernel(FrameGrid(values[i]), *sizes).values
+                    assert got.values.dtype == np.float64 and not got.values.flags.writeable
+                    assert got.values.shape == want.shape
+                    assert got.values.tobytes() == want.tobytes()
+                    assert got is early.get(i, got) is kernel(frames[i], *sizes)
+                assert all(a is b for a, b in zip(pooled, run(frames, cfg)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data(), st.sampled_from([1, 2, 5]))
+    def test_overflow_keeps_nothing_for_its_stack(self, n_total, data, channels):
+        huge = data.draw(st.integers(0, n_total - 1))
+        per_stack = data.draw(st.integers(1, n_total))
+        values = [np.full((4, 4, channels), float(i)) for i in range(n_total)]
+        values[huge] = np.full((4, 4, channels), 1.7e308)  # finite; its 2x2 sums are not
+        cfg = PathwayConfig(n_total=n_total, n_slow=n_total, fast_rows=2, fast_cols=2)
+        start = huge - huge % per_stack  # the overflowing frame's stack starts here
+        with mock.patch.object(kernels, "_STACK_BYTES", per_stack * values[0].nbytes):
+            for run in (run_slow_pathway, run_fast_pathway):
+                frames = [FrameGrid(v) for v in values]
+                with np.errstate(over="ignore"):
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match="^grid values must be finite$"):
+                            run(frames, cfg)
+                assert [bool(frame._pooled) for frame in frames] == [
+                    i < start for i in range(n_total)
+                ]
 
 
 class TestArrangeGsf:
