@@ -223,9 +223,17 @@ def image_budget(
 def worst_image_budget(
     stage: StageConfig, text_allowance: int = DEFAULT_TEXT_ALLOWANCE
 ) -> BudgetReport:
-    """Budget the stage's worst case image: the largest patch-aligned square in its max area."""
-    side = math.isqrt(stage.max_image_area) // stage.patch * stage.patch
-    return image_budget(Resolution(side, side), stage, text_allowance)
+    """Budget the stage's worst case image: a ``patch x N*patch`` strip.
+
+    With ``N = max_image_area // patch**2``, no planned target exceeds
+    ``max_image_area``, so none holds more than N high-res tokens, and the
+    low-res pass is fixed. The strip reaches N: its area ``N * patch**2``
+    is at most ``max_image_area``, so in the band it plans to itself, and
+    below ``min_image_area < (N + 1) * patch**2`` both upscaled sides floor
+    back to ``patch x N*patch``.
+    """
+    n = stage.max_image_area // stage.patch**2
+    return image_budget(Resolution(stage.patch, n * stage.patch), stage, text_allowance)
 
 
 def sweep(

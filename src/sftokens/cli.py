@@ -181,9 +181,6 @@ def _cmd_arrange(args) -> int:
         if not stage.has_video:
             raise ConfigError("arrange needs grid_rows/grid_cols or a video-capable stage")
         grid = budget.stage_video_grid(stage)
-    channels = doc.get("channels", 1)  # accepted and checked; the layout does not depend on it
-    if type(channels) is not int or channels < 1:
-        raise ConfigError(f"channels must be a positive integer, got {channels!r}")
     _emit("\n".join(plan_layout(pathway, grid).layout_lines()), args.out)
     return 0
 

@@ -26,14 +26,7 @@ from .projector import PathwayConfig
 
 STAGE_KEYS = {field.name for field in fields(StageConfig)}
 PATHWAY_KEYS = {field.name for field in fields(PathwayConfig)}
-EXTRA_KEYS = {
-    "text_allowance",
-    "sweep",
-    "sweep_grid",
-    "grid_rows",
-    "grid_cols",
-    "channels",
-}
+EXTRA_KEYS = {"text_allowance", "sweep", "sweep_grid", "grid_rows", "grid_cols"}
 KNOWN_KEYS = STAGE_KEYS | PATHWAY_KEYS | EXTRA_KEYS
 
 BUNDLED_CONFIGS = ("table1_stage1.cfg", "table1_stage2.cfg", "table4.cfg", "table5.cfg")

@@ -13,25 +13,24 @@ encoder's features costs one copy at their native width. Every kernel
 accumulates and returns float64: a float32 input gives results bit-identical
 to the same kernel run on that input widened to float64.
 
-The two pooling kernels keep each result on the grid they pooled, keyed by
-the kernel and its validated integer sizes, and a repeat call returns the
-kept grid: a grid's values never change, so it is what a fresh call would
-compute, bit for bit. A sweep of pathway configs over one clip thus pools
-each (frame, kernel, sizes) once. Results live as long as the input grid.
-The oracles are the reference and ``bilinear_resample`` has no repeat
-caller, so neither keeps results.
-
-The pathways pool a call's frames in stacks: runs of consecutive frames of
-one shape and dtype that have no kept result yet, laid end to end in one
-array, one above another for strided pooling and side by side for adaptive
-pooling, and each stack is pooled in one vectorised call of the same body
-a single grid runs. A stack's input stays under ``_STACK_BYTES`` (256 KiB):
-small frames are dominated by numpy's fixed per-call cost, while large
-ones run slower out of cache, so a frame over 128 KiB, such as an
-encoder-width frame at C=1024, pools alone, as the grid's own array with
-no copy. A stack's results are checked finite together before any is
-kept; each is a read-only view of the stack's output and holds all of it
-alive, and is bit-identical to pooling that frame alone.
+Both pooling kernels, and the pathways that pool many frames at once, run
+one path. It keeps each result on the grid it pooled, keyed by the kernel
+and its validated integer sizes, and a repeat call returns the kept grid: a
+grid's values never change, so it is what a fresh call would compute, bit
+for bit. A sweep of pathway configs over one clip thus pools each (frame,
+kernel, sizes) once. Frames with no kept result pool in stacks: runs of
+consecutive frames of one shape and dtype, laid end to end in one array,
+one above another for strided pooling and side by side for adaptive
+pooling, each stack pooled in one vectorised call. A single grid is a stack
+of one. A stack's input stays under ``_STACK_BYTES`` (256 KiB): small
+frames are dominated by numpy's fixed per-call cost, while large ones run
+slower out of cache, so a frame over 128 KiB, such as an encoder-width
+frame at C=1024, pools alone, and a stack of one is the grid's own array,
+neither copied nor widened. A stack's results are checked finite together
+before any is kept; each is a read-only view of the stack's output, holds
+all of it alive, and is bit-identical to pooling that frame alone. Results
+live as long as the input grid. The oracles are the reference and
+``bilinear_resample`` has no repeat caller, so neither keeps results.
 """
 
 from __future__ import annotations
@@ -59,13 +58,13 @@ class FrameGrid:
     array is accepted and promoted to a single channel. Values must be
     finite. Grids the kernels return are float64.
 
-    ``avg_pool_strided`` and ``avg_pool_adaptive`` keep each result on the
-    grid, keyed by the kernel and its two integer sizes, and return it on a
+    The pooling kernels and the pathways keep each result on the grid,
+    keyed by the kernel and its two integer sizes, and return it on a
     repeat call; kept results live until this grid is dropped. Each costs
     its float64 bytes: at C=1024 a 2x2 slow result takes half the bytes of
-    its float32 input grid, a 4x4 fast result 128 KiB. A result the
-    pathways pooled in a stack with other frames is a view of the stack's
-    output, which stays alive while any of its frames' results does.
+    its float32 input grid, a 4x4 fast result 128 KiB. Every result is a
+    view of its stack's output, which stays alive while any of its frames'
+    results does; a grid pooled alone is a stack of one.
     """
 
     values: np.ndarray
@@ -112,16 +111,11 @@ def _seal(arr: np.ndarray) -> np.ndarray:
 
 def _wrap(arr: np.ndarray) -> FrameGrid:
     # A kernel's result is a new float64 array, or a view of one, that
-    # nothing else writes, so it is wrapped without a second copy.
+    # nothing else writes, so it is wrapped without a second copy. Its
+    # caller seals it first: float64 sums of finite inputs can overflow.
     grid = object.__new__(FrameGrid)
     grid.__dict__.update(values=arr, _pooled={})
     return grid
-
-
-def _fresh_grid(arr: np.ndarray) -> FrameGrid:
-    # Finiteness is still checked: float64 sums of finite inputs can
-    # overflow to inf.
-    return _wrap(_seal(arr))
 
 
 def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, int]:
@@ -193,16 +187,15 @@ def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid
     runs along it, and its adds come in an order the slice adds would not
     reproduce.
 
+    The grid pools as a stack of one, its array uncopied, and keeps the
+    result: a repeat call returns the same grid.
+
     Raises:
         NonDivisibleStride: If a stride does not divide its dimension.
         ValueError: If a stride is not an integer.
     """
     stride_h, stride_w = _check_strides(grid, stride_h, stride_w)
-    key = ("strided", stride_h, stride_w)
-    if key in grid._pooled:
-        return grid._pooled[key]
-    sums = _strided_sums(grid.values, stride_h, stride_w)
-    return grid._pooled.setdefault(key, _fresh_grid(sums))
+    return _pool([grid], "strided", stride_h, stride_w)[0]
 
 
 @lru_cache(maxsize=256)
@@ -280,18 +273,16 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
     [floor(i*n/out), floor((i+1)*n/out)); the bins tile the axis exactly,
     so pooling to the input's own shape is the identity. Sums accumulate
     in float64, in the order of ``np.add.reduceat`` along rows and then
-    columns, so results are bit-identical to that form.
+    columns, so results are bit-identical to that form. As with
+    ``avg_pool_strided``, the grid pools as a stack of one, in its own
+    dtype, and a repeat call returns the kept result.
 
     Raises:
         InvalidOutputShape: If the target exceeds the input dimensions.
         ValueError: If a target size is not an integer.
     """
     out_rows, out_cols = _check_adaptive(grid, out_rows, out_cols)
-    key = ("adaptive", out_rows, out_cols)
-    if key in grid._pooled:
-        return grid._pooled[key]
-    sums = _adaptive_sums(grid.values, 1, out_rows, out_cols)
-    return grid._pooled.setdefault(key, _fresh_grid(sums))
+    return _pool([grid], "adaptive", out_rows, out_cols)[0]
 
 
 # Frames pooled in one call are stacked up to this many bytes of input.
@@ -305,29 +296,28 @@ _STACK_BYTES = 256 * 1024
 def _pool(grids: Sequence[FrameGrid], kind: str, a: int, b: int) -> list[FrameGrid]:
     # Each grid's result of pooling kernel ``kind`` at integer sizes (a, b),
     # kept on the grid. Grids without one pool in stacks: runs of
-    # consecutive grids of one shape and dtype, cut to _STACK_BYTES, each
-    # pooled in one call and kept only if all of its results are finite.
+    # consecutive grids of one shape and dtype, checked to fit once, cut to
+    # _STACK_BYTES, each pooled in one call and kept only if all of its
+    # results are finite.
     key = (kind, a, b)
     todo = [grid for grid in grids if key not in grid._pooled]
     for _, run in groupby(todo, attrgetter("values.shape", "values.dtype")):
         run = list(run)
+        (_check_strides if kind == "strided" else _check_adaptive)(run[0], a, b)
         size = max(1, _STACK_BYTES // run[0].values.nbytes)
         for stack in (run[i:i + size] for i in range(0, len(run), size)):
             n = len(stack)
-            if n == 1:
-                (avg_pool_strided if kind == "strided" else avg_pool_adaptive)(stack[0], a, b)
-                continue
             values = [grid.values for grid in stack]
             # Sealed before any view is taken, so every view is read-only.
             if kind == "strided":
-                _check_strides(stack[0], a, b)
-                sums = _seal(_strided_sums(np.concatenate(values), a, b))
+                v = values[0] if n == 1 else np.concatenate(values)
+                sums = _seal(_strided_sums(v, a, b))
                 parts = sums.reshape(n, -1, *sums.shape[1:])
             else:
-                _check_adaptive(stack[0], a, b)
                 # Widened as it is copied, the row sums add without numpy's
-                # buffered casts: 18% faster at C=4, and the same bits.
-                v = np.concatenate(values, axis=1, dtype=np.float64)
+                # buffered casts: 18% faster at C=4, and the same bits. A
+                # lone frame is neither copied nor widened.
+                v = values[0] if n == 1 else np.concatenate(values, axis=1, dtype=np.float64)
                 sums = _seal(_adaptive_sums(v, n, a, b))
                 parts = sums.reshape(a, n, b, -1).swapaxes(0, 1)
             for grid, part in zip(stack, parts):
@@ -369,7 +359,7 @@ def bilinear_resample(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
     bottom += v[r_hi][:, c_hi] * c_frac[np.newaxis, :, np.newaxis]
     out = top * (1.0 - r_frac)[:, np.newaxis, np.newaxis]
     out += bottom * r_frac[:, np.newaxis, np.newaxis]
-    return _fresh_grid(out)
+    return _wrap(_seal(out))
 
 
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -403,7 +393,7 @@ def synth_features(frame_index: int, grid: PatchGrid, channels: int) -> FrameGri
     step = np.uint64(0x100000001B3)
     key = ((base * step + r) * step + c) * step + k
     bits = _splitmix64(key)
-    return _fresh_grid((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+    return _wrap(_seal((bits >> np.uint64(11)).astype(np.float64) * 2.0**-53))
 
 
 def naive_avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid:

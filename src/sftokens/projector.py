@@ -184,7 +184,7 @@ def _check_frames(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
 
 
 def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
-    """Pool the selected slow frames as ``avg_pool_strided`` does, stacking same-shape frames."""
+    """Pool the slow frames in stacks, on the path ``avg_pool_strided`` runs for one."""
     from .kernels import _pool
 
     _check_frames(frames, cfg)
@@ -193,7 +193,7 @@ def run_slow_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[Fr
 
 
 def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[FrameGrid]:
-    """Pool the fast frames as ``avg_pool_adaptive`` does, stacking same-shape frames."""
+    """Pool the fast frames in stacks, on the path ``avg_pool_adaptive`` runs for one."""
     from .kernels import _pool
 
     _check_frames(frames, cfg)

@@ -11,6 +11,7 @@ from sftokens import (
     Arrangement,
     BudgetReport,
     DEFAULT_VIDEO_CONFIG,
+    DegenerateResize,
     InvalidOutputShape,
     NonDivisibleStride,
     PatchGrid,
@@ -26,6 +27,7 @@ from sftokens import (
     validate_stage,
     video_budget,
 )
+from sftokens.budget import worst_image_budget
 
 GRID = PatchGrid(30, 30)
 STAGE2 = stage_two_defaults()
@@ -104,6 +106,28 @@ class TestImageBudget:
             res = Resolution(int(rng.integers(16, 6000)), int(rng.integers(16, 6000)))
             rep = image_budget(res, stage)
             assert rep.slow_tokens <= cap
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_worst_image_budget_is_the_worst(self, data):
+        # No resolution in [1, 64]^2 plans to more high-res tokens than the
+        # strip, and the strip plans to N = max_image_area // patch**2 on
+        # any band, including one whose minimum lies above the strip's area.
+        patch = data.draw(st.integers(1, 6), label="patch")
+        max_area = data.draw(st.integers(patch * patch, 64 * 64), label="max_image_area")
+        min_area = data.draw(st.integers(0, max_area - 1), label="min_image_area")
+        stage = StageConfig(stage="I", context_length=8192, min_image_area=min_area,
+                            max_image_area=max_area, base_image_side=patch, patch=patch)
+        worst = worst_image_budget(stage).slow_tokens
+        assert worst == max_area // patch**2
+        most = 0
+        for h in range(1, 65):
+            for w in range(1, 65):
+                try:
+                    most = max(most, image_budget(Resolution(h, w), stage).slow_tokens)
+                except DegenerateResize:
+                    pass
+        assert most <= worst
 
 
 class TestSweep:
@@ -285,6 +309,16 @@ class TestValidateStage:
         # 80*80 high-res + 576 low-res tokens at the 1280^2 cap.
         assert validate_stage(stage) == [
             "worst-case image tokens 6976 + allowance 512 exceed context 4096"
+        ]
+
+    def test_worst_case_image_is_not_a_square(self):
+        # isqrt(10^6) = 1000 is no multiple of 16: the 992x992 square plans
+        # to 3844 high-res tokens, but 992x1008 plans to 62*63 = 3906.
+        stage = replace(stage_one_defaults(), max_image_area=1_000_000, context_length=4932)
+        assert image_budget(Resolution(992, 1008), stage).slow_tokens == 3906
+        assert worst_image_budget(stage).slow_tokens == 3906
+        assert validate_stage(stage) == [
+            "worst-case image tokens 4482 + allowance 512 exceed context 4932"
         ]
 
 

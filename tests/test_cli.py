@@ -117,6 +117,25 @@ class TestPlan:
         assert doc["content_tokens"] == 6400 + 576
         assert doc["fits_context"] is True
 
+    def test_worst_image_is_a_strip_not_a_square(self, capsys):
+        # The largest patch-aligned square in 10^6 px^2, 992x992, has 3844
+        # high-res tokens and would fit; a 16x62496 strip plans to
+        # 10^6 // 16**2 = 3906, and does not.
+        code, out, err = run_cli(
+            capsys, "plan", "--config", "table1_stage1.cfg", "--set", "max_image_area=1000000",
+            "--set", "context_length=4932", "--format", "text",
+        )
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [
+            "slow tokens       3906",
+            "fast tokens       576",
+            "separators        0",
+            "content tokens    4482 (4K)",
+            "total tokens      4482",
+            "text allowance    512",
+            "context 4932:  overflow",
+        ]
+
     def test_text_format_mentions_fit(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--format", "text")
         assert code == 0
@@ -372,19 +391,22 @@ class TestArrange:
         assert (code, out) == (1, "")
         assert err == "error: fast grid 31x4 exceeds frame grid 30x30\n"
 
-    def test_channels_checked_but_layout_unchanged(self, capsys):
-        _, default, _ = run_cli(capsys, "arrange", *self.MINI)
-        code, out, _ = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=7")
-        assert (code, out) == (0, default)
-        code, out, err = run_cli(capsys, "arrange", *self.MINI, "--set", "channels=0")
-        assert (code, out, err) == (1, "", "error: channels must be a positive integer, got 0\n")
+    @pytest.mark.parametrize("command", ["plan", "sweep", "arrange"])
+    def test_channels_key_rejected(self, capsys, command):
+        # No command reads a channels key, so every command rejects it.
+        for value in ("7", "0"):
+            code, out, err = run_cli(capsys, command, *self.MINI, "--set", f"channels={value}")
+            assert (code, out, err) == (1, "", "error: unknown keys in config: channels\n")
 
     @pytest.mark.parametrize("key", ["grid_rows", "grid_cols", "channels"])
     @pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("true", "True"), ('"x"', "'x'")])
     def test_non_integer_grid_or_channels_pinned(self, capsys, key, value, shown):
-        kind = "a positive integer" if key == "channels" else "an integer"
         code, out, err = run_cli(capsys, "arrange", *self.MINI, "--set", f"{key}={value}")
-        assert (code, out, err) == (1, "", f"error: {key} must be {kind}, got {shown}\n")
+        if key == "channels":
+            want = "error: unknown keys in config: channels\n"
+        else:
+            want = f"error: {key} must be an integer, got {shown}\n"
+        assert (code, out, err) == (1, "", want)
 
 
 class TestCheck:

@@ -1,5 +1,6 @@
 """Slow/fast pathway execution and token arrangement."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -241,6 +242,20 @@ def _stack_case(draw):
     return values, cfg, bound, kept
 
 
+def _strided_by_mean(v, sh, sw):
+    rows, cols, ch = v.shape
+    return v.reshape(rows // sh, sh, cols // sw, sw, ch).mean(axis=(1, 3))
+
+
+def _adaptive_by_reduceat(v, out_rows, out_cols):
+    rows, cols, _ = v.shape
+    row_starts = [i * rows // out_rows for i in range(out_rows)]
+    col_starts = [j * cols // out_cols for j in range(out_cols)]
+    sums = np.add.reduceat(np.add.reduceat(v, row_starts, axis=0), col_starts, axis=1)
+    counts = np.outer(np.diff(row_starts + [rows]), np.diff(col_starts + [cols]))
+    return sums / counts[:, :, np.newaxis]
+
+
 class TestStackedPooling:
     """The pathways pool runs of same-shape frames in stacks, bit-identical to one frame alone."""
 
@@ -249,25 +264,46 @@ class TestStackedPooling:
     def test_results_match_single_frames(self, case):
         values, cfg, bound, kept = case
         frames = [FrameGrid(v) for v in values]
+        # The plain numpy forms each kernel promises bit-identity with, on
+        # the input widened to float64; they share no code with the kernels.
         pathways = [
-            (run_slow_pathway, avg_pool_strided, (cfg.stride_h, cfg.stride_w),
+            (run_slow_pathway, avg_pool_strided, _strided_by_mean, (cfg.stride_h, cfg.stride_w),
              select_slow_frames(cfg.n_total, cfg.n_slow)),
-            (run_fast_pathway, avg_pool_adaptive, (cfg.fast_rows, cfg.fast_cols),
-             fast_frame_indices(cfg)),
+            (run_fast_pathway, avg_pool_adaptive, _adaptive_by_reduceat,
+             (cfg.fast_rows, cfg.fast_cols), fast_frame_indices(cfg)),
         ]
         with mock.patch.object(kernels, "_STACK_BYTES", bound):
-            for run, kernel, sizes, indices in pathways:
+            for run, kernel, plain, sizes, indices in pathways:
                 # Frames pooled alone first split the runs the pathway stacks.
                 early = {i: kernel(frames[i], *sizes) for i in kept}
                 pooled = run(frames, cfg)
                 assert len(pooled) == len(indices)
                 for i, got in zip(indices, pooled):
-                    want = kernel(FrameGrid(values[i]), *sizes).values
+                    want = plain(values[i].astype(np.float64), *sizes)
                     assert got.values.dtype == np.float64 and not got.values.flags.writeable
                     assert got.values.shape == want.shape
                     assert got.values.tobytes() == want.tobytes()
                     assert got is early.get(i, got) is kernel(frames[i], *sizes)
                 assert all(a is b for a, b in zip(pooled, run(frames, cfg)))
+
+    def test_stack_of_one_is_neither_copied_nor_widened(self):
+        # An encoder-width frame pools alone, as its own float32 array: each
+        # traced peak stays below the 3.69 MB frame, where a float64 copy
+        # of it would take 7.4 MB.
+        rng = np.random.default_rng(0)
+        frames = [FrameGrid(rng.standard_normal((30, 30, 1024), dtype=np.float32))
+                  for _ in range(6)]
+        cfg = PathwayConfig(n_total=4, n_slow=0)
+        for pool in (lambda: avg_pool_strided(frames[0], 2, 2),
+                     lambda: avg_pool_adaptive(frames[1], 4, 4),
+                     lambda: run_fast_pathway(frames[2:], cfg)):
+            tracemalloc.start()
+            try:
+                pool()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < frames[0].values.nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.data(), st.sampled_from([1, 2, 5]))
