@@ -49,6 +49,11 @@ for stage in (stage_one_defaults(), stage_two_defaults()):
 # Stage validation: the stage II defaults are coherent.
 print(f"\nstage II findings: {validate_stage(stage_two_defaults()) or 'none'}")
 
+# At a 10K context the video still fits but the worst-case image does not:
+# `sft plan --set context_length=10000` exits 2 and prints this finding on stderr.
+for finding in validate_stage(replace(stage_two_defaults(), context_length=10000)):
+    print(f"stage II at context 10000: {finding}")
+
 # A malformed stage is rejected where it is built, naming the key at fault.
 try:
     replace(stage_two_defaults(), video_min_area=0, video_max_area=100)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import InvalidOutputShape, NonDivisibleStride
 from .geometry import (
     AreaThresholds, PatchGrid, Resolution, as_count, check_band, patch_grid, plan_resize,
     store_counts,
@@ -292,10 +291,11 @@ def validate_stage(
 
     ``StageConfig`` rejects a malformed stage where it is built, so this
     returns verdicts only: worst-case image overflow, then on a video stage
-    the frame cap, the pathway's fit to the stage's max-area frame grid,
-    video overflow and a fast grid that is not coarser than the pooled slow
-    grid. ``pathway`` defaults to the stage-sized default. Findings are
-    human-readable; an empty list means the configuration is coherent.
+    the frame cap, video overflow and a fast grid that is not coarser than
+    the pooled slow grid. ``pathway`` defaults to the stage-sized default.
+    A pathway that does not fit the stage's max-area frame grid raises, as in
+    ``video_budget``. Findings are human-readable, and ``sft plan`` exits 2
+    on any; an empty list means the configuration is coherent.
     """
     findings: list[str] = []
 
@@ -314,19 +314,14 @@ def validate_stage(
             f"pathway wants {cfg.n_total} frames but the stage samples at most "
             f"{stage.max_frames}"
         )
-    grid = stage_video_grid(stage)
-    try:
-        report = video_budget(cfg, grid, stage, text_allowance)
-    except (NonDivisibleStride, InvalidOutputShape) as exc:
-        findings.append(f"pathway does not fit the stage frame grid: {exc}")
-        return findings
+    report = video_budget(cfg, stage_video_grid(stage), stage, text_allowance)
     if not report.fits_context:
         findings.append(
             f"video tokens {report.total_tokens} + allowance {text_allowance} "
             f"exceed context {stage.context_length}"
         )
     if cfg.n_slow and cfg.n_fast:
-        slow_area = math.prod(slow_grid(cfg, grid))
+        slow_area = report.slow_tokens // cfg.n_slow
         if cfg.fast_tokens_per_frame >= slow_area:
             findings.append(
                 f"fast grid ({cfg.fast_tokens_per_frame} tokens/frame) is not coarser "

@@ -1,8 +1,9 @@
 """Command-line surface: plan, sweep, arrange, check.
 
 Exit codes are a stable contract: 0 success, 1 usage or config error,
-2 context overflow (plan), 3 self-check failure. Output is deterministic
-for a given config and seed; ``SFT_NO_COLOR=1`` disables ANSI styling.
+2 the stage has findings (plan, each on stderr), 3 self-check failure.
+Output is deterministic for a given config and seed; ``SFT_NO_COLOR=1``
+disables ANSI styling.
 """
 
 from __future__ import annotations
@@ -100,22 +101,25 @@ def _plan_text(report: budget.BudgetReport) -> str:
     return "\n".join(lines)
 
 
-def _check_rows(doc: dict, stage: budget.StageConfig) -> None:
-    # plan and arrange use the base pathway alone, but build the rows that
-    # sweep would, so a bad row value fails the same in every command.
-    if "sweep" in doc or "sweep_grid" in doc:
-        cfgmod.sweep_configs(doc, stage)
+def _load(args) -> tuple:
+    """Load the document and build its stage, base pathway and sweep rows.
+
+    Every command builds all of them, so a bad value fails the same in each.
+    """
+    doc = cfgmod.load_config(args.config, args.overrides)
+    stage = cfgmod.stage_from_config(doc)
+    pathway = cfgmod.pathway_from_config(doc, stage)
+    configs, labels = cfgmod.sweep_configs(doc, stage)
+    return doc, stage, pathway, configs, labels
 
 
 def _cmd_plan(args) -> int:
-    doc = cfgmod.load_config(args.config, args.overrides)
-    stage = cfgmod.stage_from_config(doc)
-    _check_rows(doc, stage)
+    doc, stage, pathway, _, _ = _load(args)
     allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
+    findings = budget.validate_stage(stage, pathway, allowance)
     fmt = args.format or "json"
 
     if stage.has_video:
-        pathway = cfgmod.pathway_from_config(doc, stage)
         report = budget.video_budget(pathway, budget.stage_video_grid(stage), stage, allowance)
     else:
         report = budget.worst_image_budget(stage, allowance)
@@ -130,16 +134,16 @@ def _cmd_plan(args) -> int:
         raise ConfigError("csv format applies to video plans only")
 
     _emit(text, args.out)
-    return 0 if report.fits_context else 2
+    for finding in findings:
+        print(f"finding: {finding}", file=sys.stderr)
+    return 2 if findings else 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = cfgmod.load_config(args.config, args.overrides)
-    stage = cfgmod.stage_from_config(doc)
+    doc, stage, _, configs, labels = _load(args)
     if not stage.has_video:
         raise ConfigError("sweep needs a video-capable stage config")
     allowance = doc.get("text_allowance", budget.DEFAULT_TEXT_ALLOWANCE)
-    configs, labels = cfgmod.sweep_configs(doc, stage)
     grid = budget.stage_video_grid(stage)
     reports = budget.sweep(configs, grid, stage, allowance)
     fmt = args.format or "csv"
@@ -169,10 +173,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_arrange(args) -> int:
-    doc = cfgmod.load_config(args.config, args.overrides)
-    stage = cfgmod.stage_from_config(doc)
-    _check_rows(doc, stage)
-    pathway = cfgmod.pathway_from_config(doc, stage)
+    doc, stage, pathway, _, _ = _load(args)
     if "grid_rows" in doc or "grid_cols" in doc:
         if not ("grid_rows" in doc and "grid_cols" in doc):
             raise ConfigError("grid_rows and grid_cols must be set together")

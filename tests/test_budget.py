@@ -304,6 +304,16 @@ class TestValidateStage:
         findings = validate_stage(STAGE2, pathway=cfg)
         assert any("coarser" in f for f in findings)
 
+    def test_indivisible_frame_grid_raises(self):
+        # isqrt(250000) = 500 px plans to a 31x31 grid, which 2x2 slow strides do not divide.
+        with pytest.raises(NonDivisibleStride, match="strides 2x2 do not divide grid 31x31"):
+            validate_stage(replace(stage_two_defaults(), video_max_area=250000))
+
+    def test_oversized_fast_grid_raises(self):
+        cfg = replace(DEFAULT_VIDEO_CONFIG, fast_rows=31, fast_cols=4)
+        with pytest.raises(InvalidOutputShape, match="fast grid 31x4 exceeds frame grid 30x30"):
+            validate_stage(STAGE2, pathway=cfg)
+
     def test_worst_case_image_overflow_flagged(self):
         stage = replace(stage_one_defaults(), context_length=4096)
         # 80*80 high-res + 576 low-res tokens at the 1280^2 cap.

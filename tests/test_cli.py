@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sftokens import StageConfig, cli, selfcheck, stage_two_defaults, stage_video_grid, validate_stage
-from sftokens.budget import worst_image_budget
+from sftokens import StageConfig, cli, selfcheck, stage_two_defaults, validate_stage
 from sftokens.config import KNOWN_KEYS, PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
@@ -58,6 +57,14 @@ STAGE_RULE_ERRORS = [
      "stage I is image-only but sets video_min_area, video_max_area, max_frames"),
     ([*STAGE_1, "--set", "min_image_area=-1"], "min_image_area must be non-negative, got -1"),
 ]
+# Each finding of validate_stage makes plan exit 2 and shows on stderr, while
+# the video budget on stdout still fits.
+PLAN_FINDINGS = [
+    (["context_length=10000"], "worst-case image tokens 9792 + allowance 512 exceed context 10000"),
+    (["n_total=200"], "pathway wants 200 frames but the stage samples at most 128"),
+    (["n_total=16", "n_slow=8", "fast_rows=15", "fast_cols=15"],
+     "fast grid (225 tokens/frame) is not coarser than the pooled slow grid (225 tokens/frame)"),
+]
 NON_ROW_KEYS = sorted(KNOWN_KEYS - PATHWAY_KEYS - {"label"})
 MALFORMED_GRIDS = [
     ("5", "sweep_grid must be a non-empty object of value lists"),
@@ -93,11 +100,29 @@ class TestPlan:
         assert doc["fits_context"] is True
 
     def test_slow_only_overflows_with_exit_2(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "plan", "--set", "n_slow=128", "--set", "arrangement=ISF"
         )
-        assert code == 2
+        assert (code, err) == (2, "finding: video tokens 28928 + allowance 512 exceed context 16384\n")
         assert json.loads(out)["fits_context"] is False
+
+    @pytest.mark.parametrize("sets, finding", PLAN_FINDINGS,
+                             ids=[",".join(s) for s, _ in PLAN_FINDINGS])
+    def test_each_finding_exits_2_on_stderr(self, capsys, sets, finding):
+        argv = [arg for item in sets for arg in ("--set", item)]
+        code, out, err = run_cli(capsys, "plan", *argv)
+        assert (code, err) == (2, f"finding: {finding}\n")
+        assert json.loads(out)["fits_context"] is True
+
+    @pytest.mark.parametrize("value, err", [
+        ("a", "n_slow must be an integer, got 'a'"),
+        ("999", "n_slow must be in [0, 128], got 999"),
+    ])
+    def test_image_only_stage_checks_the_pathway(self, capsys, value, err):
+        # Stage I plans no video, but plan still builds and checks the base pathway.
+        assert run_cli(capsys, "plan", *STAGE_1, "--set", f"n_slow={value}") == (
+            1, "", f"error: {err}\n"
+        )
 
     def test_missing_config_names_path(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--config", "/no/such/file.cfg")
@@ -125,7 +150,9 @@ class TestPlan:
             capsys, "plan", "--config", "table1_stage1.cfg", "--set", "max_image_area=1000000",
             "--set", "context_length=4932", "--format", "text",
         )
-        assert (code, err) == (2, "")
+        assert (code, err) == (
+            2, "finding: worst-case image tokens 4482 + allowance 512 exceed context 4932\n"
+        )
         assert out.splitlines() == [
             "slow tokens       3906",
             "fast tokens       576",
@@ -321,8 +348,10 @@ class TestSweep:
         for sweep in ('sweep=[{"n_slow":"a"}]', 'sweep_grid={"n_slow":[0,"a"]}'):
             for command in ("plan", "sweep", "arrange"):
                 assert run_cli(capsys, command, "--set", sweep) == error
-        image_stage = ["--config", "table1_stage1.cfg", "--set", 'sweep=[{"n_slow":"a"}]']
-        assert run_cli(capsys, "plan", *image_stage) == error
+        # Rows are built before sweep asks for a video stage.
+        image_stage = [*STAGE_1, "--set", 'sweep=[{"n_slow":"a"}]']
+        for command in ("plan", "sweep", "arrange"):
+            assert run_cli(capsys, command, *image_stage) == error
         assert run_cli(capsys, "plan", "--set", 'sweep=[{"n_slow":999}]') == (
             1, "", "error: n_slow must be in [0, 128], got 999\n"
         )
@@ -473,7 +502,6 @@ class TestPlumbing:
         assert labels == ["row0", "row1"]
 
 
-MISFIT = "pathway does not fit the stage frame grid: "
 AREAS = st.integers(-2, 4_000_000)
 DRAWN = ("stage", "context_length", "min_image_area", "max_image_area", "video_min_area",
          "video_max_area", "max_frames", "patch")
@@ -526,19 +554,9 @@ class TestStageRule:
             assert (code, out, err) == (1, "", f"error: {exc}\n")
             return
 
-        worst_image_budget(stage)
-        if stage.has_video:
-            stage_video_grid(stage)
-        findings = validate_stage(stage)
-        misfits = [f[len(MISFIT):] for f in findings if f.startswith(MISFIT)]
-        # plan budgets the video on a video stage and the worst-case image otherwise.
-        planned = "video tokens " if stage.has_video else "worst-case image tokens "
-        overflows = [f for f in findings if f.startswith(planned)]
-        if misfits:
-            assert (code, out, err) == (1, "", f"error: {misfits[0]}\n")
-        elif overflows:
-            assert (code, err) == (2, "")
-            assert json.loads(out)["fits_context"] is False
-        else:
-            assert (code, err) == (0, "")
-            assert json.loads(out)["fits_context"] is True
+        try:
+            findings = validate_stage(stage)
+        except ValueError as exc:
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+            return
+        assert (code, err) == (2 if findings else 0, "".join(f"finding: {f}\n" for f in findings))

@@ -19,10 +19,14 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
     )
 
 
-# A line each demo must print, where one pins a published count.
+# Lines each demo must print, where one pins a published count or a verdict.
 EXPECTED_LINES = {
-    "04_token_arrangements": "deployment GSF: 9248 content tokens, 1 separator",
-    "05_token_budgets": "a 10x10 video band is rejected: video_max_area too small for one patch",
+    "04_token_arrangements": ["deployment GSF: 9248 content tokens, 1 separator"],
+    "05_token_budgets": [
+        "stage II at context 10000: worst-case image tokens 9792 + allowance 512 exceed "
+        "context 10000",
+        "a 10x10 video band is rejected: video_max_area too small for one patch",
+    ],
 }
 
 
@@ -35,5 +39,5 @@ def test_demo_exits_cleanly(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
     assert result.stdout
-    if path.stem in EXPECTED_LINES:
-        assert EXPECTED_LINES[path.stem] in result.stdout.splitlines()
+    lines = result.stdout.splitlines()
+    assert [line for line in EXPECTED_LINES.get(path.stem, []) if line not in lines] == []

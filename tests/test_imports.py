@@ -146,6 +146,9 @@ def test_arrange_and_check_in_a_fresh_process():
         ("projector", "arrange_gsf"),
         ("projector", "arrange_isf"),
         ("config", "load_config"),
+        ("config", "stage_from_config"),
+        ("config", "pathway_from_config"),
+        ("config", "sweep_configs"),
     ],
 )
 def test_traced_names_stay_module_attributes(module, attr):
