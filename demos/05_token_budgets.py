@@ -16,12 +16,12 @@ from sftokens import (
     sweep_csv,
     validate_stage,
 )
-from sftokens.config import load_config, stage_from_config, sweep_configs
+from sftokens.config import load_config, pathway_from_config, stage_from_config, sweep_configs
 
 for name in ("table4.cfg", "table5.cfg"):
     doc = load_config(name)
     stage = stage_from_config(doc)
-    configs, labels = sweep_configs(doc, stage)
+    configs, labels = sweep_configs(doc, pathway_from_config(doc, stage))
     reports = sweep(configs, stage_video_grid(stage), stage)
     print(f"== {name} (context {stage.context_length}, "
           f"frame grid {stage_video_grid(stage).rows}x{stage_video_grid(stage).cols})")
@@ -35,7 +35,7 @@ for name in ("table4.cfg", "table5.cfg"):
 # The same sweep as machine-readable CSV.
 doc = load_config("table4.cfg")
 stage = stage_from_config(doc)
-configs, _ = sweep_configs(doc, stage)
+configs, _ = sweep_configs(doc, pathway_from_config(doc, stage))
 print(sweep_csv(configs, sweep(configs, stage_video_grid(stage), stage)))
 
 # Image budgets: a fixed low-resolution pass plus a planned high-res pass.

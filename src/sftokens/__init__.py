@@ -34,7 +34,6 @@ from .errors import (
     InvalidDuration,
     InvalidOutputShape,
     NonDivisibleStride,
-    PartitionViolation,
 )
 from .geometry import (
     AreaThresholds,
@@ -96,7 +95,6 @@ __all__ = [
     "InvalidDuration",
     "InvalidOutputShape",
     "NonDivisibleStride",
-    "PartitionViolation",
     "PatchGrid",
     "PathwayConfig",
     "Resolution",

@@ -109,7 +109,7 @@ def _load(args) -> tuple:
     doc = cfgmod.load_config(args.config, args.overrides)
     stage = cfgmod.stage_from_config(doc)
     pathway = cfgmod.pathway_from_config(doc, stage)
-    configs, labels = cfgmod.sweep_configs(doc, stage)
+    configs, labels = cfgmod.sweep_configs(doc, pathway)
     return doc, stage, pathway, configs, labels
 
 

@@ -130,9 +130,8 @@ def sweep_rows(doc: dict) -> list[dict]:
     return [{}]
 
 
-def sweep_configs(doc: dict, stage: StageConfig) -> tuple[list[PathwayConfig], list[str]]:
-    """Materialise sweep rows into pathway configs plus per-row labels."""
-    base = pathway_from_config(doc, stage)
+def sweep_configs(doc: dict, base: PathwayConfig) -> tuple[list[PathwayConfig], list[str]]:
+    """Materialise sweep rows over ``base``, the document's pathway, plus per-row labels."""
     rows = sweep_rows(doc)
     configs = [_replace(base, row, PATHWAY_KEYS) for row in rows]
     labels = [str(row.get("label", f"row{i}")) for i, row in enumerate(rows)]

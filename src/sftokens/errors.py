@@ -21,9 +21,5 @@ class InvalidCount(ValueError):
     """Frame-selection count is outside the valid range."""
 
 
-class PartitionViolation(ValueError):
-    """Slow and fast frame sets must partition the frame range exactly."""
-
-
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""

@@ -54,7 +54,8 @@ class FrameGrid:
     """One frame's feature grid, shape (rows, cols, channels).
 
     The backing array is copied once and marked read-only. A float32 or
-    float64 input keeps its dtype; any other dtype becomes float64. A 2D
+    float64 input keeps its dtype; any other real dtype becomes float64,
+    and a complex one raises rather than lose its imaginary part. A 2D
     array is accepted and promoted to a single channel. Values must be
     finite. Grids the kernels return are float64.
 
@@ -74,6 +75,8 @@ class FrameGrid:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values)
+        if arr.dtype.kind == "c":
+            raise ValueError(f"grid values must be real, got dtype {arr.dtype}")
         if arr.dtype not in _NATIVE_DTYPES:
             arr = arr.astype(np.float64)
         if arr.ndim == 2:
@@ -382,6 +385,7 @@ def synth_features(frame_index: int, grid: PatchGrid, channels: int) -> FrameGri
     repeated calls are bit-identical across runs and platforms. Values lie
     in [0, 1).
     """
+    frame_index, channels = as_count("frame_index", frame_index), as_count("channels", channels)
     if frame_index < 0:
         raise ValueError(f"frame_index must be non-negative, got {frame_index}")
     if channels < 1:

@@ -9,19 +9,22 @@ each closed by a separator).
 
 These rules live only here. A sequence is a tuple of blocks, one per
 pooled frame or separator; a frame's tokens are its grid cells in
-row-major order, spelled out only by ``layout_lines``. ``plan_layout``
-builds the sequence ``project_video`` would from the patch grid alone.
-Identical inputs always produce identical sequences. Nothing here needs
-numpy until a pathway pools, so the budget can import this module without it.
+row-major order, spelled out only by ``layout_lines``. Only ``plan_layout``
+builds a sequence, from integers alone, through ``arrange_gsf`` or
+``arrange_isf``; ``project_video`` checks its frames, plans their sequence
+before it pools, and returns it, so every pooled frame is in exactly the
+stream its block names. Identical inputs always produce identical sequences.
+Nothing here needs numpy until a pathway pools, so the budget can import
+this module without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import InvalidCount, InvalidOutputShape, NonDivisibleStride, PartitionViolation
+from .errors import InvalidCount, InvalidOutputShape, NonDivisibleStride
 from .geometry import PatchGrid, as_count, store_counts
 
 if TYPE_CHECKING:
@@ -201,65 +204,53 @@ def run_fast_pathway(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> list[Fr
     return _pool(fast, "adaptive", cfg.fast_rows, cfg.fast_cols)
 
 
-Pairs = Iterable[tuple[int, "FrameGrid"]]  # (frame index, pooled grid), ascending
-
-
-def _arrange(slow: Pairs, fast: Pairs, cfg: PathwayConfig, order: Arrangement) -> TokenSequence:
+def _blocks(cfg: PathwayConfig, grid: PatchGrid, order: Arrangement) -> tuple[list, list]:
     if cfg.arrangement is not order:
         raise ValueError(f"a {cfg.arrangement.value} config cannot be arranged {order.value}")
-    slow_blocks = [TokenBlock("slow", frame, grid.rows, grid.cols) for frame, grid in slow]
-    fast_blocks = [TokenBlock("fast", frame, grid.rows, grid.cols) for frame, grid in fast]
-    got = ([b.frame for b in slow_blocks], [b.frame for b in fast_blocks])
-    want = (select_slow_frames(cfg.n_total, cfg.n_slow), fast_frame_indices(cfg))
-    if got != want:
-        raise PartitionViolation(f"(slow, fast) frames are {got}, want {want}")
-    return TokenSequence(cfg, _ordered(slow_blocks, fast_blocks, order))
+    rows, cols = slow_grid(cfg, grid)
+    slow = [TokenBlock("slow", f, rows, cols) for f in select_slow_frames(cfg.n_total, cfg.n_slow)]
+    fast = [TokenBlock("fast", f, cfg.fast_rows, cfg.fast_cols) for f in fast_frame_indices(cfg)]
+    return slow, fast
 
 
-def _ordered(slow: list[TokenBlock], fast: list[TokenBlock], order: Arrangement) -> tuple:
-    if order is Arrangement.GSF:
-        return (*slow, SEPARATOR, *fast)
+def arrange_gsf(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
+    """Arrange grouped: slow frames, one separator (always), every frame fast.
+
+    Raises ``ValueError`` for an ISF config, then as ``slow_grid`` does.
+    """
+    slow, fast = _blocks(cfg, grid, Arrangement.GSF)
+    return TokenSequence(cfg, (*slow, SEPARATOR, *fast))
+
+
+def arrange_isf(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
+    """Arrange interleaved: frames in time order, a separator after each.
+
+    Raises ``ValueError`` for a GSF config, then as ``slow_grid`` does.
+    """
+    slow, fast = _blocks(cfg, grid, Arrangement.ISF)
     by_frame = sorted(slow + fast, key=lambda block: block.frame)
-    return tuple(b for block in by_frame for b in (block, SEPARATOR))
+    return TokenSequence(cfg, tuple(b for block in by_frame for b in (block, SEPARATOR)))
 
 
 def plan_layout(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
-    """The sequence ``project_video`` builds from frames of ``grid``, without pooling.
+    """The sequence ``project_video`` returns for frames of ``grid``, without pooling.
 
     Raises ``InvalidOutputShape`` or ``NonDivisibleStride`` as ``slow_grid``
     does, exactly when ``project_video`` would raise.
     """
-    rows, cols = slow_grid(cfg, grid)
-    slow = [TokenBlock("slow", f, rows, cols) for f in select_slow_frames(cfg.n_total, cfg.n_slow)]
-    fast = [TokenBlock("fast", f, cfg.fast_rows, cfg.fast_cols) for f in fast_frame_indices(cfg)]
-    return TokenSequence(cfg, _ordered(slow, fast, cfg.arrangement))
-
-
-def arrange_gsf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
-    """Arrange grouped: slow frames, one separator (always), every frame fast.
-
-    Raises ``PartitionViolation`` unless the slow frames are the slow
-    selection and the fast frames ``fast_frame_indices(cfg)``, each in order.
-    """
-    return _arrange(slow, fast, cfg, Arrangement.GSF)
-
-
-def arrange_isf(slow: Pairs, fast: Pairs, cfg: PathwayConfig) -> TokenSequence:
-    """Arrange interleaved: frames in time order, a separator after each.
-
-    Raises ``PartitionViolation`` as ``arrange_gsf`` does, so every frame is
-    in exactly one stream.
-    """
-    return _arrange(slow, fast, cfg, Arrangement.ISF)
+    arrange = arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf
+    return arrange(cfg, grid)
 
 
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
-    """Check ``frames`` and the fit as ``plan_layout`` does, then pool both streams and arrange."""
+    """Check ``frames``, plan their sequence, pool both streams and return the sequence.
+
+    Nothing is pooled unless ``plan_layout`` accepts the frames' grid.
+    """
     _check_frames(frames, cfg)
     if len({frame.shape for frame in frames}) > 1:
         raise ValueError("all frames must share one shape")
-    slow_grid(cfg, PatchGrid(frames[0].rows, frames[0].cols))
-    slow = zip(select_slow_frames(cfg.n_total, cfg.n_slow), run_slow_pathway(frames, cfg))
-    fast = zip(fast_frame_indices(cfg), run_fast_pathway(frames, cfg))
-    arrange = arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf
-    return arrange(slow, fast, cfg)
+    sequence = plan_layout(cfg, PatchGrid(frames[0].rows, frames[0].cols))
+    run_slow_pathway(frames, cfg)
+    run_fast_pathway(frames, cfg)
+    return sequence

@@ -143,7 +143,7 @@ def check_golden_sweep(name: str) -> CheckResult:
     want_content, want_labels = GOLDEN_SWEEPS[name]
     doc = config.load_config(name)
     stage = config.stage_from_config(doc)
-    configs, _ = config.sweep_configs(doc, stage)
+    configs, _ = config.sweep_configs(doc, config.pathway_from_config(doc, stage))
     reports = budget.sweep(configs, budget.stage_video_grid(stage), stage)
     got_content = [r.content_tokens for r in reports]
     got_labels = [r.rounded_label for r in reports]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sftokens import StageConfig, cli, selfcheck, stage_two_defaults, validate_stage
+from sftokens import DEFAULT_VIDEO_CONFIG, StageConfig, cli, selfcheck, validate_stage
 from sftokens.config import KNOWN_KEYS, PATHWAY_KEYS, STAGE_KEYS, load_config, sweep_configs
 from sftokens.errors import ConfigError
 from sftokens.kernels import FrameGrid
@@ -498,7 +498,7 @@ class TestPlumbing:
 
     def test_sweep_labels_default_to_row_index(self):
         doc = {"sweep": [{"n_slow": 0}, {"n_slow": 32}]}
-        _, labels = sweep_configs(doc, stage_two_defaults())
+        _, labels = sweep_configs(doc, DEFAULT_VIDEO_CONFIG)
         assert labels == ["row0", "row1"]
 
 

@@ -54,6 +54,12 @@ class TestFrameGrid:
         assert FrameGrid(np.ones((2, 2, 3), dtype=np.float32)).values.dtype == np.float32
         assert FrameGrid(np.ones((2, 2, 3), dtype=np.float64)).values.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_rejects_complex_naming_the_dtype(self, dtype):
+        want = f"^grid values must be real, got dtype {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=want):
+            FrameGrid(np.array([[1 + 2j, 3]], dtype=dtype))
+
     def test_other_dtypes_become_float64(self):
         assert FrameGrid(np.arange(6).reshape(2, 3)).values.dtype == np.float64
         assert FrameGrid(np.ones((2, 2), dtype=bool)).values.dtype == np.float64
@@ -491,3 +497,10 @@ class TestSynthFeatures:
             synth_features(-1, PatchGrid(2, 2), 1)
         with pytest.raises(ValueError):
             synth_features(0, PatchGrid(2, 2), 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["frame_index", "channels"]), NOT_AN_INTEGER)
+    def test_non_integers_rejected_by_name(self, name, value):
+        args = {"frame_index": 0, "channels": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            synth_features(args["frame_index"], PatchGrid(2, 2), args["channels"])

@@ -16,7 +16,6 @@ from sftokens import (
     InvalidCount,
     InvalidOutputShape,
     NonDivisibleStride,
-    PartitionViolation,
     PatchGrid,
     PathwayConfig,
     TokenBlock,
@@ -35,7 +34,7 @@ from sftokens import (
     synth_features,
     video_budget,
 )
-from sftokens.config import load_config, stage_from_config, sweep_configs
+from sftokens.config import load_config, pathway_from_config, stage_from_config, sweep_configs
 from sftokens.projector import SEPARATOR
 
 
@@ -191,7 +190,7 @@ class TestTable4OverOneClip:
 
     def test_rows_match_rows_on_freshly_wrapped_frames(self):
         doc = load_config("table4.cfg")
-        configs, _ = sweep_configs(doc, stage_from_config(doc))
+        configs, _ = sweep_configs(doc, pathway_from_config(doc, stage_from_config(doc)))
         clip = np.random.default_rng(4).random((128, 30, 30, 4), dtype=np.float32)
         shared = [FrameGrid(frame) for frame in clip]
         for cfg in configs:
@@ -350,26 +349,13 @@ class TestArrangeGsf:
         )
         assert seq.layout_lines() == ["TOK slow 0 0 0", "SEP - - - -", "TOK fast 0 0 0"]
 
-    def test_mismatched_frames_raise(self):
-        grid = FrameGrid(np.ones((1, 1)))
-        cfg = PathwayConfig(n_total=3, n_slow=1, fast_rows=1, fast_cols=1)
-        every = [(0, grid), (1, grid), (2, grid)]
-        with pytest.raises(PartitionViolation):
-            arrange_gsf([(1, grid)], every, cfg)  # not the slow selection
-        with pytest.raises(PartitionViolation):
-            arrange_gsf([(0, grid)], every[:2], cfg)  # a fast frame missing
-        with pytest.raises(PartitionViolation):
-            arrange_gsf([(0, grid)], every[::-1], cfg)  # fast frames out of order
-        with pytest.raises(PartitionViolation):
-            arrange_gsf([(0, grid)], every + [(3, grid)], cfg)  # a frame out of range
-
     def test_config_must_match_entry_point(self):
-        grid = FrameGrid(np.ones((1, 1)))
+        grid = PatchGrid(2, 2)  # fits, so only the arrangement can be at fault
         cfg = PathwayConfig(n_total=1, n_slow=1, fast_rows=1, fast_cols=1)
-        with pytest.raises(ValueError):
-            arrange_isf([(0, grid)], [], cfg)
-        with pytest.raises(ValueError):
-            arrange_gsf([(0, grid)], [], replace(cfg, arrangement=Arrangement.ISF))
+        with pytest.raises(ValueError, match="^a GSF config cannot be arranged ISF$"):
+            arrange_isf(cfg, grid)
+        with pytest.raises(ValueError, match="^a ISF config cannot be arranged GSF$"):
+            arrange_gsf(replace(cfg, arrangement=Arrangement.ISF), grid)
 
     def test_block_order_slow_then_fast(self):
         seq = project_video(make_frames(4, 2, 2), replace(MINI, n_total=4, n_slow=2))
@@ -408,20 +394,6 @@ class TestArrangeIsf:
         seq = project_video(make_frames(3, 2, 2), cfg)
         assert seq.separator_count == 3
         assert seq.content_count == 12
-
-    def test_partition_overlap_raises(self):
-        grid = FrameGrid(np.ones((1, 1)))
-        cfg = PathwayConfig(n_total=2, n_slow=1, arrangement=Arrangement.ISF,
-                            fast_rows=1, fast_cols=1)
-        with pytest.raises(PartitionViolation):
-            arrange_isf([(0, grid)], [(0, grid)], cfg)
-
-    def test_partition_gap_raises(self):
-        grid = FrameGrid(np.ones((1, 1)))
-        cfg = PathwayConfig(n_total=3, n_slow=1, arrangement=Arrangement.ISF,
-                            fast_rows=1, fast_cols=1)
-        with pytest.raises(PartitionViolation):
-            arrange_isf([(0, grid)], [(2, grid)], cfg)
 
     def test_frame_indices_non_decreasing(self):
         cfg = PathwayConfig(n_total=9, n_slow=4, stride_h=2, stride_w=2,
@@ -546,10 +518,21 @@ class TestLayoutProperty:
     @given(_layout_case())
     def test_budget_blocks_and_lines_agree(self, case):
         cfg, patch = case
-        frame = synth_features(0, patch, 1)
-        seq = project_video([frame] * cfg.n_total, cfg)
+        frames = [synth_features(0, patch, 1)] * cfg.n_total
+        seq = project_video(frames, cfg)
         report = video_budget(cfg, patch, stage_two_defaults())
         assert plan_layout(cfg, patch) == seq
+
+        # The k-th block of each stream is the k-th frame that stream pools,
+        # at the shape its pathway pools it to.
+        for pathway, chosen, run in (
+            ("slow", select_slow_frames(cfg.n_total, cfg.n_slow), run_slow_pathway),
+            ("fast", fast_frame_indices(cfg), run_fast_pathway),
+        ):
+            blocks = [b[1:] for b in seq.blocks if b.pathway == pathway]
+            pooled = [grid.shape[:2] for grid in run(frames, cfg)]
+            assert blocks == [(f, *shape) for f, shape in zip(chosen, pooled)]
+            assert len(blocks) == len(chosen) == len(pooled)
 
         def tokens(pathway):
             return sum(b.rows * b.cols for b in seq.blocks if b.pathway == pathway)
@@ -584,5 +567,6 @@ class TestLayoutProperty:
         assert pooled is planned is budgeted
         if raises:
             assert pooled is (InvalidOutputShape if fast_misfit else NonDivisibleStride)
+            assert not frames[0]._pooled  # a misfit is found before anything pools
         else:
             assert plan_layout(cfg, patch) == project_video(frames, cfg)
