@@ -245,12 +245,18 @@ def plan_layout(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
     """Check ``frames``, plan their sequence, pool both streams and return the sequence.
 
-    Nothing is pooled unless ``plan_layout`` accepts the frames' grid.
+    Nothing is pooled unless ``plan_layout`` accepts the frames' grid. The
+    frames are checked once, and each stream pools the frames its blocks
+    name, as ``run_slow_pathway`` and ``run_fast_pathway`` would.
     """
+    from .kernels import _pool
+
     _check_frames(frames, cfg)
     if len({frame.shape for frame in frames}) > 1:
         raise ValueError("all frames must share one shape")
     sequence = plan_layout(cfg, PatchGrid(frames[0].rows, frames[0].cols))
-    run_slow_pathway(frames, cfg)
-    run_fast_pathway(frames, cfg)
+    slow = [frames[block.frame] for block in sequence.blocks if block.pathway == "slow"]
+    fast = [frames[block.frame] for block in sequence.blocks if block.pathway == "fast"]
+    _pool(slow, "strided", cfg.stride_h, cfg.stride_w)
+    _pool(fast, "adaptive", cfg.fast_rows, cfg.fast_cols)
     return sequence

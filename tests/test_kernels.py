@@ -1,5 +1,12 @@
 """Pooling and resampling kernels against their loop oracles."""
 
+import gc
+import mmap
+import re
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +26,8 @@ from sftokens import (
     naive_bilinear_resample,
     synth_features,
 )
+from sftokens import kernels
+from sftokens.kernels import _wrap
 from sftokens.selfcheck import ORACLE_TOLERANCE
 
 
@@ -60,6 +69,23 @@ class TestFrameGrid:
         with pytest.raises(ValueError, match=want):
             FrameGrid(np.array([[1 + 2j, 3]], dtype=dtype))
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]"),
+            np.array([[1, 2]], dtype="timedelta64[s]"),
+            np.array([["1.5", "2"]]),
+            np.array([[b"1.5", b"2"]]),
+            np.array([[1.0, 2.0]], dtype=object),
+            np.zeros((2, 2), dtype=[("x", np.float64)]),
+        ],
+        ids=lambda src: src.dtype.kind,
+    )
+    def test_rejects_non_numeric_kinds_naming_the_dtype(self, src):
+        want = f"^grid values must be real, got dtype {re.escape(str(src.dtype))}$"
+        with pytest.raises(ValueError, match=want):
+            FrameGrid(src)
+
     def test_other_dtypes_become_float64(self):
         assert FrameGrid(np.arange(6).reshape(2, 3)).values.dtype == np.float64
         assert FrameGrid(np.ones((2, 2), dtype=bool)).values.dtype == np.float64
@@ -97,6 +123,125 @@ class TestFrameGrid:
                 avg_pool_strided(g, 2, 2)
             with pytest.raises(ValueError):
                 avg_pool_adaptive(g, 1, 1)
+
+
+# A frame over one huge page (2 MiB), copied into a shared block, and one
+# under it, copied onto the heap.
+_copy_shapes = pytest.mark.parametrize("shape", [(24, 24, 1024), (6, 6, 4)], ids=["block", "heap"])
+
+
+def _source(shape, dtype=np.float32):
+    return np.random.default_rng(0).random(shape).astype(dtype)
+
+
+def _owner(arr):
+    # The object that owns an array's memory: its block, or a heap array.
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+class TestGridCopies:
+    """Each grid owns a fresh copy: in a shared block from one huge page up."""
+
+    @_copy_shapes
+    def test_source_mutation_leaves_grid_unchanged(self, shape):
+        src = _source(shape)
+        grid = FrameGrid(src)
+        want = src.copy()
+        src[...] = 7.0
+        assert np.array_equal(grid.values, want)
+
+    @_copy_shapes
+    @pytest.mark.parametrize("dtype, kept", [(np.float32, np.float32), (np.float64, np.float64),
+                                             (np.int16, np.float64)])
+    def test_read_only_c_contiguous_and_typed(self, shape, dtype, kept):
+        src = _source(shape, np.float64) * 100
+        grid = FrameGrid(src.astype(dtype))
+        assert grid.values.dtype == kept and grid.shape == shape
+        assert grid.values.flags.c_contiguous and not grid.values.flags.writeable
+        if grid.values.nbytes >= kernels._HUGE_PAGE:
+            assert grid.values.ctypes.data % 64 == 0
+        assert np.array_equal(grid.values, src.astype(dtype).astype(kept))
+        with pytest.raises(ValueError):
+            grid.values[0, 0, 0] = 1.0
+
+    @_copy_shapes
+    def test_fortran_input_gives_identical_kernel_results(self, shape):
+        src = _source(shape)
+        c_grid, f_grid = FrameGrid(src), FrameGrid(np.asfortranarray(src))
+        for kernel, sizes in ((avg_pool_strided, (2, 3)), (avg_pool_adaptive, (4, 5)),
+                              (bilinear_resample, (5, 4))):
+            got, want = kernel(f_grid, *sizes).values, kernel(c_grid, *sizes).values
+            assert got.tobytes() == want.tobytes()
+
+    @_copy_shapes
+    def test_live_grids_share_no_memory(self, shape):
+        # Enough big frames to fill more than one 32 MiB block.
+        src = _source(shape)
+        grids = [FrameGrid(src) for _ in range(16)]
+        self._assert_disjoint(grids)
+        big = src.nbytes >= kernels._HUGE_PAGE
+        assert (len({id(_owner(g.values)) for g in grids}) < len(grids)) == big
+
+    @_copy_shapes
+    def test_grids_built_from_two_threads_share_no_memory(self, shape):
+        src = _source(shape)
+        built = [[], []]
+        start = threading.Barrier(2)
+
+        def build(out):
+            start.wait()
+            out.extend(FrameGrid(src) for _ in range(12))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(out) for out in built] == [12, 12]
+        self._assert_disjoint(built[0] + built[1])
+        assert all(np.array_equal(g.values, src) for g in built[0] + built[1])
+
+    @staticmethod
+    def _assert_disjoint(grids):
+        for i, a in enumerate(grids):
+            for b in grids[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+
+    @_copy_shapes
+    def test_dropping_every_grid_of_a_block_frees_it(self, shape, monkeypatch):
+        monkeypatch.setattr(kernels, "_block", None)  # start a block of this test's own
+        src = _source(shape)
+        grids = [FrameGrid(src) for _ in range(3)]
+        owners = {id(_owner(g.values)): weakref.ref(_owner(g.values)) for g in grids}
+        if src.nbytes >= kernels._HUGE_PAGE:
+            (block,) = owners.values()
+            assert isinstance(block(), mmap.mmap) and kernels._block() is block()
+        del grids[:2]
+        gc.collect()
+        assert sum(ref() is not None for ref in owners.values()) == 1
+        del grids
+        gc.collect()
+        assert all(ref() is None for ref in owners.values())
+
+    @_copy_shapes
+    def test_without_madv_hugepage_copies_onto_the_heap(self, shape, monkeypatch):
+        src = _source(shape)
+        want = FrameGrid(src)
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+        got = FrameGrid(src)
+        assert isinstance(_owner(got.values), np.ndarray)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.values.flags.c_contiguous and not got.values.flags.writeable
+        pooled = [avg_pool_strided(grid, 3, 3).values.tobytes() for grid in (got, want)]
+        assert pooled[0] == pooled[1]
 
 
 class TestStridedPooling:
@@ -405,8 +550,9 @@ class TestKernelArguments:
         assert np.array_equal(got, fn(grid, *valid).values)
 
 
-# Memory layouts FrameGrid keeps as they arrive (np.array copies in order
-# "K"), each holding the values of the C-ordered grid x.
+# Memory layouts a grid's array may have, each holding the values of the
+# C-ordered grid x. FrameGrid copies into C order, but a kernel's result
+# can be a strided view of its stack's output and be pooled again.
 def _fortran(x):
     return np.asfortranarray(x)
 
@@ -446,11 +592,15 @@ class TestStridedLayouts:
 
     @staticmethod
     def _check(x, layout, sh, sw):
+        # Returns the grid wrapped as the layout lies, uncopied.
         view = layout(x)
         assert np.array_equal(view, x)
-        grid = FrameGrid(view)
+        grid = _wrap(view)
         got = avg_pool_strided(grid, sh, sw).values
         assert np.array_equal(got, _strided_by_mean(x.astype(np.float64), sh, sw))
+        copied = FrameGrid(view)
+        assert copied.values.flags.c_contiguous
+        assert np.array_equal(got, avg_pool_strided(copied, sh, sw).values)
         widened = FrameGrid(view.astype(np.float64))
         assert np.array_equal(got, avg_pool_strided(widened, sh, sw).values)
         return grid

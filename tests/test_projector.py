@@ -34,6 +34,7 @@ from sftokens import (
     synth_features,
     video_budget,
 )
+from sftokens import projector
 from sftokens.config import load_config, pathway_from_config, stage_from_config, sweep_configs
 from sftokens.projector import SEPARATOR
 
@@ -178,6 +179,25 @@ class TestPathways:
             run(frames, cfg)
         with pytest.raises(TypeError, match="^frame 0 must be a FrameGrid, got ndarray$"):
             run(np.zeros((4, 4, 4, 1)), cfg)
+
+    @pytest.mark.parametrize("arrangement", ["GSF", "ISF"])
+    def test_project_video_checks_frames_once_and_pools_each_stream(self, arrangement, monkeypatch):
+        cfg = PathwayConfig(n_total=8, n_slow=3, fast_rows=2, fast_cols=2, arrangement=arrangement)
+        frames = make_frames(8, 4, 4, 2)
+        calls = []
+        check = projector._check_frames
+        monkeypatch.setattr(
+            projector, "_check_frames", lambda *args: calls.append(args) or check(*args)
+        )
+        project_video(frames, cfg)
+        assert len(calls) == 1
+        slow, fast = select_slow_frames(8, 3), fast_frame_indices(cfg)
+        assert [sorted(frame._pooled) for frame in frames] == [
+            [("adaptive", 2, 2)] * (i in fast) + [("strided", 2, 2)] * (i in slow) for i in range(8)
+        ]
+        # The pathways find every result project_video kept.
+        assert run_slow_pathway(frames, cfg) == [frames[i]._pooled["strided", 2, 2] for i in slow]
+        assert run_fast_pathway(frames, cfg) == [frames[i]._pooled["adaptive", 2, 2] for i in fast]
 
     def test_mixed_frame_shapes_rejected(self):
         frames = make_frames(3, 4, 4) + make_frames(1, 2, 2)
