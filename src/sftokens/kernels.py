@@ -43,19 +43,35 @@ before any is kept; each is a read-only view of the stack's output, holds
 all of it alive, and is bit-identical to pooling that frame alone. Results
 live as long as the input grid. The oracles are the reference and
 ``bilinear_resample`` has no repeat caller, so neither keeps results.
+
+Encoder-width work runs on every CPU the process may run on: the calling
+thread takes the first share and a pool of one worker thread per further
+CPU the rest, the workers under the caller's context (numpy's ``errstate``
+included). Two kinds of work split, each at a threshold the serial path
+already has: a grid's copy of at least one huge page, cut into one band of
+rows per CPU, each band copied and checked finite; and the pooling of
+frames over half of ``_STACK_BYTES``, which pool alone, their stacks spread
+over the threads. Smaller copies and stacked frames stay on the calling
+thread, and so does a process with one CPU. Results and errors are those of
+the serial path, bit for bit: a grid is sealed once every band is done,
+and pooled results are kept on the calling thread, in order, up to the
+first stack that fails, whose error is raised. The pool is started at the
+first split, not on import, and a forked child starts its own.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
+import os
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import attrgetter
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,8 +86,10 @@ class FrameGrid:
     """One frame's feature grid, shape (rows, cols, channels).
 
     The backing array is copied once, in C order, and marked read-only;
-    a copy of 2 MiB or more is carved from a shared huge-page block (see
-    the module docstring), a smaller one is a heap array. A float32 or
+    a copy of 2 MiB or more is carved from a shared huge-page block and
+    copied and checked in one band of rows per CPU (see the module
+    docstring), a smaller one is a heap array copied on the calling
+    thread. A float32 or
     float64 input keeps its dtype; any other boolean, integer or floating
     dtype becomes float64. Any other kind, complex, datetime, timedelta,
     string, object or structured, raises, naming its dtype, rather than be
@@ -103,9 +121,19 @@ class FrameGrid:
         if src.size == 0:
             raise ValueError("grid dimensions must be positive")
         dtype = src.dtype if src.dtype in _NATIVE_DTYPES else np.dtype(np.float64)
-        arr = _fresh(src.shape, dtype)
-        np.copyto(arr, src, casting="unsafe")
-        _seal(arr)
+        if src.size * dtype.itemsize < _HUGE_PAGE:
+            arr = _seal(np.array(src, dtype=dtype, order="C"))
+        else:
+            arr = _fresh(src.shape, dtype)
+            rows = src.shape[0]
+            n = min(_cpus(), rows)
+
+            def copy(band: slice) -> np.ndarray:
+                np.copyto(arr[band], src[band], casting="unsafe")
+                return _seal(arr[band])  # seals this view; the array is sealed below
+
+            list(_split(copy, [slice(i * rows // n, (i + 1) * rows // n) for i in range(n)]))
+            arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -135,8 +163,8 @@ _block_used = 0
 
 
 def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    # An uninitialised, writable, C-ordered array for a grid's copy. Below
-    # one huge page, or where mmap cannot advise huge pages, it is an
+    # An uninitialised, writable, C-ordered array for a grid's copy of at
+    # least one huge page. Where mmap cannot advise huge pages it is an
     # ordinary heap array. Otherwise it is cut from the current block, end
     # to end at 64-byte alignment, or from a new block when the current one
     # is full or gone; a frame bigger than a block gets a block of its own.
@@ -146,7 +174,7 @@ def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     count = math.prod(shape)
     nbytes = count * dtype.itemsize
     advice = getattr(mmap, "MADV_HUGEPAGE", None)
-    if nbytes < _HUGE_PAGE or advice is None:
+    if advice is None:
         return np.empty(shape, dtype)
     with _block_lock:
         block = _block() if _block is not None else None
@@ -162,6 +190,59 @@ def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         offset = _block_used
         _block_used += -(-nbytes // _ALIGN) * _ALIGN
     return np.frombuffer(block, dtype, count, offset).reshape(shape)
+
+
+# The threads ``_split`` hands parts to: one per CPU beyond the caller's,
+# started at the first split, not at import, and forgotten in a forked
+# child, where they do not run.
+_workers_lock = threading.Lock()
+_workers = None
+
+
+def _forget_workers() -> None:
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _cpus() -> int:
+    # The CPUs this process may run on.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
+    # Yields fn(part) for each part in order, and raises the first failing
+    # part's error in its place, as a serial loop would. With two parts or
+    # more and two CPUs or more, the calling thread runs the first share of
+    # ceil(len(parts) / CPUs) parts while the workers run the rest, each
+    # part under a copy of the caller's context, where numpy keeps its
+    # errstate. After an error, or once the caller stops, parts not yet
+    # started are cancelled and running ones are waited for.
+    global _workers
+    if len(parts) < 2 or (cpus := _cpus()) < 2:
+        yield from map(fn, parts)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with _workers_lock:
+        if _workers is None:
+            _workers = ThreadPoolExecutor(cpus - 1, thread_name_prefix="sftokens")
+        workers = _workers
+    head = -(-len(parts) // cpus)
+    futures = [workers.submit(contextvars.copy_context().run, fn, part) for part in parts[head:]]
+    try:
+        yield from map(fn, parts[:head])
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _seal(arr: np.ndarray) -> np.ndarray:
@@ -360,31 +441,38 @@ def _pool(grids: Sequence[FrameGrid], kind: str, a: int, b: int) -> list[FrameGr
     # kept on the grid. Grids without one pool in stacks: runs of
     # consecutive grids of one shape and dtype, checked to fit once, cut to
     # _STACK_BYTES, each pooled in one call and kept only if all of its
-    # results are finite.
+    # results are finite. A run of lone frames spreads its stacks over the
+    # CPUs; results are kept here, in order, up to the first stack that
+    # fails, as in the serial loop stacked frames run.
     key = (kind, a, b)
     todo = [grid for grid in grids if key not in grid._pooled]
     for _, run in groupby(todo, attrgetter("values.shape", "values.dtype")):
         run = list(run)
         (_check_strides if kind == "strided" else _check_adaptive)(run[0], a, b)
         size = max(1, _STACK_BYTES // run[0].values.nbytes)
-        for stack in (run[i:i + size] for i in range(0, len(run), size)):
-            n = len(stack)
-            values = [grid.values for grid in stack]
-            # Sealed before any view is taken, so every view is read-only.
-            if kind == "strided":
-                v = values[0] if n == 1 else np.concatenate(values)
-                sums = _seal(_strided_sums(v, a, b))
-                parts = sums.reshape(n, -1, *sums.shape[1:])
-            else:
-                # Widened as it is copied, the row sums add without numpy's
-                # buffered casts: 18% faster at C=4, and the same bits. A
-                # lone frame is neither copied nor widened.
-                v = values[0] if n == 1 else np.concatenate(values, axis=1, dtype=np.float64)
-                sums = _seal(_adaptive_sums(v, n, a, b))
-                parts = sums.reshape(a, n, b, -1).swapaxes(0, 1)
+        stacks = [run[i:i + size] for i in range(0, len(run), size)]
+        pool = partial(_pool_stack, kind, a, b)
+        for parts, stack in zip(_split(pool, stacks) if size == 1 else map(pool, stacks), stacks):
             for grid, part in zip(stack, parts):
                 grid._pooled.setdefault(key, _wrap(part))
     return [grid._pooled[key] for grid in grids]
+
+
+def _pool_stack(kind: str, a: int, b: int, stack: list[FrameGrid]) -> np.ndarray:
+    # One stack's results, one per frame along the first axis, each a
+    # read-only view: the output is sealed before any view is taken.
+    n = len(stack)
+    values = [grid.values for grid in stack]
+    if kind == "strided":
+        v = values[0] if n == 1 else np.concatenate(values)
+        sums = _seal(_strided_sums(v, a, b))
+        return sums.reshape(n, -1, *sums.shape[1:])
+    # Widened as it is copied, the row sums add without numpy's buffered
+    # casts: 18% faster at C=4, and the same bits. A lone frame is neither
+    # copied nor widened.
+    v = values[0] if n == 1 else np.concatenate(values, axis=1, dtype=np.float64)
+    sums = _seal(_adaptive_sums(v, n, a, b))
+    return sums.reshape(a, n, b, -1).swapaxes(0, 1)
 
 
 def _axis_positions(n_in: int, n_out: int) -> np.ndarray:

@@ -155,3 +155,30 @@ def test_traced_names_stay_module_attributes(module, attr):
     # The benchmark's traced runs swap these attributes for recording wrappers.
     __import__(f"sftokens.{module}")
     assert callable(getattr(getattr(sftokens, module), attr))
+
+
+# Imports the kernels and pools stacked C=4 frames in a fresh process, then
+# builds one encoder-width grid, whose copy splits over two CPUs.
+FIRST_SPLIT = """
+import sys, threading
+import numpy as np
+import sftokens.kernels as kernels
+from sftokens import DEFAULT_VIDEO_CONFIG, FrameGrid, project_video
+
+def serial():
+    return "concurrent.futures" not in sys.modules and threading.active_count() == 1
+
+assert serial()
+frames = [FrameGrid(np.full((30, 30, 4), float(i), np.float32)) for i in range(128)]
+project_video(frames, DEFAULT_VIDEO_CONFIG)
+assert serial()
+kernels._cpus = lambda: 2
+FrameGrid(np.ones((30, 30, 1024), np.float32))
+assert not serial()
+print("ok")
+"""
+
+
+def test_workers_start_at_the_first_split():
+    done = run_python("-c", FIRST_SPLIT)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr

@@ -2,10 +2,13 @@
 
 import gc
 import mmap
+import os
 import re
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,16 @@ from sftokens import (
     InvalidOutputShape,
     NonDivisibleStride,
     PatchGrid,
+    PathwayConfig,
     avg_pool_adaptive,
     avg_pool_strided,
     bilinear_resample,
     naive_avg_pool_adaptive,
     naive_avg_pool_strided,
     naive_bilinear_resample,
+    project_video,
+    run_fast_pathway,
+    run_slow_pathway,
     synth_features,
 )
 from sftokens import kernels
@@ -242,6 +249,69 @@ class TestGridCopies:
         assert got.values.flags.c_contiguous and not got.values.flags.writeable
         pooled = [avg_pool_strided(grid, 3, 3).values.tobytes() for grid in (got, want)]
         assert pooled[0] == pooled[1]
+
+
+# The CPU counts the split paths are compared at: serial, and this
+# machine's count (two where it has one, so the workers run everywhere).
+_SPLIT_CPUS = max(2, kernels._cpus())
+
+# Splits once, forks, and builds an encoder-width grid in the child, which
+# SIGALRM ends if it hangs; prints the child's exit code.
+FORK_CHILD = """
+import os, signal
+import numpy as np
+from sftokens import FrameGrid, kernels
+kernels._cpus = lambda: 2
+src = np.ones((30, 30, 1024), np.float32)
+FrameGrid(src)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    FrameGrid(src)
+    os._exit(0)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+class TestSplitWork:
+    """Encoder-width copies and lone frames' pooling spread over the CPUs as if serial."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_results_match_the_serial_path(self, dtype, monkeypatch):
+        rng = np.random.default_rng(3)
+        values = [(rng.standard_normal((30, 30, 1024)) * 100).astype(dtype) for _ in range(5)]
+        cfg = PathwayConfig(n_total=5, n_slow=5)
+
+        def run(cpus):
+            monkeypatch.setattr(kernels, "_cpus", lambda: cpus)
+            grids = [FrameGrid(v) for v in values]
+            pooled = run_slow_pathway(grids, cfg) + run_fast_pathway(grids, cfg)
+            sequence = project_video([FrameGrid(v) for v in values], cfg)
+            return ([g.values.tobytes() for g in grids], [p.values.tobytes() for p in pooled],
+                    sequence.layout_lines())
+
+        assert run(1) == run(_SPLIT_CPUS)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cpus", [1, _SPLIT_CPUS], ids=["serial", "split"])
+    def test_non_finite_rows_raise_on_both_paths(self, dtype, bad, cpus, monkeypatch):
+        monkeypatch.setattr(kernels, "_cpus", lambda: cpus)
+        rows = 30
+        bands = [i * rows // _SPLIT_CPUS for i in range(1, _SPLIT_CPUS)]
+        for row in sorted({0, rows - 1, *bands, *(b - 1 for b in bands)}):
+            src = np.zeros((rows, 30, 1024), dtype)
+            src[row, 17, 511] = bad
+            with pytest.raises(ValueError, match="^grid values must be finite$"):
+                FrameGrid(src)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX-only")
+    def test_a_forked_child_splits_again(self):
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run([sys.executable, "-c", FORK_CHILD], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 class TestStridedPooling:

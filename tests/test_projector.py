@@ -344,6 +344,21 @@ class TestStackedPooling:
                     i < start for i in range(n_total)
                 ]
 
+    @pytest.mark.parametrize("cpus", [1, max(2, kernels._cpus())], ids=["serial", "split"])
+    @pytest.mark.parametrize("huge", range(6))
+    def test_encoder_width_overflow_keeps_the_frames_before_it(self, huge, cpus):
+        # 256 KiB frames pool alone, their stacks spread over the CPUs.
+        values = [np.full((8, 8, 512), float(i)) for i in range(6)]
+        values[huge] = np.full((8, 8, 512), 1.7e308)
+        cfg = PathwayConfig(n_total=6, n_slow=6, fast_rows=2, fast_cols=2)
+        with mock.patch.object(kernels, "_cpus", lambda: cpus):
+            for run in (run_slow_pathway, run_fast_pathway):
+                frames = [FrameGrid(v) for v in values]
+                with np.errstate(over="ignore"):
+                    with pytest.raises(ValueError, match="^grid values must be finite$"):
+                        run(frames, cfg)
+                assert [bool(frame._pooled) for frame in frames] == [i < huge for i in range(6)]
+
 
 class TestArrangeGsf:
     def test_default_counts(self):
