@@ -19,11 +19,17 @@ frames end to end. An encoder-width frame, 30x30x1024 float32, is 3.5 MiB,
 just under the 4 MiB from which numpy itself asks for huge pages. As heap
 copies, a 128-frame clip's frames are faulted in 4 KiB at a time, and glibc
 returns the pages when the clip is dropped, so wrapping each clip takes
-about 114,000 minor faults; from blocks it takes about 420, in about half
-the time. A block is unmapped when its last grid is dropped, so a kept grid
-holds at most its one block (a frame bigger than a block, a block of its
-own), of which only the touched pages are resident. Smaller copies, and
-every copy where ``mmap`` cannot advise huge pages, stay on the heap.
+about 114,000 minor faults; into new blocks it takes about 420, in about
+half the time. A block whose last array is dropped is not unmapped but
+kept, advised ``MADV_FREE`` where ``mmap`` has it, so the kernel may
+reclaim its pages under memory pressure, and the next arrays are carved
+from a kept block before a new one is mapped: a clip wrapped after the one
+before it was dropped lands in pages that are already faulted in, and
+takes almost no faults. A block is mapped only when none is kept, so the
+blocks mapped, in use or kept, never outnumber the most ever in use at
+once. A frame bigger than a block gets a block of its own, unmapped when
+the frame is dropped. Smaller copies, and every copy where ``mmap`` cannot
+advise huge pages, stay on the heap.
 
 Both pooling kernels, and the pathways that pool many frames at once, run
 one path. It keeps each result on the grid it pooled, keyed by the kernel
@@ -38,10 +44,13 @@ of one. A stack's input stays under ``_STACK_BYTES`` (256 KiB): small
 frames are dominated by numpy's fixed per-call cost, while large ones run
 slower out of cache, so a frame over 128 KiB, such as an encoder-width
 frame at C=1024, pools alone, and a stack of one is the grid's own array,
-neither copied nor widened. A stack's results are checked finite together
-before any is kept; each is a read-only view of the stack's output, holds
-all of it alive, and is bit-identical to pooling that frame alone. Results
-live as long as the input grid. The oracles are the reference and
+neither copied nor widened. Strided sums of a stack of one huge page or
+more, such as an encoder-width frame, go where the frame went, into a
+block; smaller stacks' sums, and adaptive sums, stay on the heap. A
+stack's results are checked finite together before any is kept; each is a
+read-only view of the stack's output, holds all of it alive, and is
+bit-identical to pooling that frame alone. Results live as long as the
+input grid. The oracles are the reference and
 ``bilinear_resample`` has no repeat caller, so neither keeps results.
 
 Encoder-width work runs on every CPU the process may run on: the calling
@@ -86,15 +95,15 @@ class FrameGrid:
     """One frame's feature grid, shape (rows, cols, channels).
 
     The backing array is copied once, in C order, and marked read-only;
-    a copy of 2 MiB or more is carved from a shared huge-page block and
-    copied and checked in one band of rows per CPU (see the module
-    docstring), a smaller one is a heap array copied on the calling
-    thread. A float32 or
-    float64 input keeps its dtype; any other boolean, integer or floating
-    dtype becomes float64. Any other kind, complex, datetime, timedelta,
-    string, object or structured, raises, naming its dtype, rather than be
-    cast to numbers. A 2D array is accepted and promoted to a single
-    channel. Values must be finite. Grids the kernels return are float64.
+    a copy of 2 MiB or more is carved from a shared huge-page block, one
+    kept from dropped grids where there is one, and copied and checked in
+    one band of rows per CPU (see the module docstring), a smaller one is
+    a heap array copied on the calling thread. A float32 or float64 input
+    keeps its dtype; any other boolean, integer or floating dtype becomes
+    float64. Any other kind, complex, datetime, timedelta, string, object
+    or structured, raises, naming its dtype, rather than be cast to
+    numbers. A 2D array is accepted and promoted to a single channel.
+    Values must be finite. Grids the kernels return are float64.
 
     The pooling kernels and the pathways keep each result on the grid,
     keyed by the kernel and its two integer sizes, and return it on a
@@ -102,7 +111,9 @@ class FrameGrid:
     its float64 bytes: at C=1024 a 2x2 slow result takes half the bytes of
     its float32 input grid, a 4x4 fast result 128 KiB. Every result is a
     view of its stack's output, which stays alive while any of its frames'
-    results does; a grid pooled alone is a stack of one.
+    results does; a grid pooled alone is a stack of one. A block serves
+    new grids and results again once every array in it is dropped, so
+    dropping a clip and wrapping the next reuses its pages.
     """
 
     values: np.ndarray
@@ -153,43 +164,68 @@ class FrameGrid:
         return self.values.shape
 
 
-# Huge-page blocks for grid copies; see the module docstring.
+# Huge-page blocks for grid copies and large results; see the module
+# docstring.
 _HUGE_PAGE = 2 << 20
 _BLOCK_BYTES = 32 << 20
 _ALIGN = 64
 _block_lock = threading.Lock()
-_block: weakref.ref[mmap.mmap] | None = None  # the block frames are carved from
+_block: weakref.ref[np.ndarray] | None = None  # the owner frames are carved from
 _block_used = 0
+_free: list[mmap.mmap] = []  # standard blocks whose every array was dropped
+
+
+def _map(nbytes: int, advice: int) -> mmap.mmap:
+    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        block.madvise(advice)
+    except OSError:  # huge pages unsupported here: 4 KiB pages serve
+        pass
+    return block
+
+
+def _release(block: mmap.mmap) -> None:
+    # Runs when a standard block's owner array is collected, in whichever
+    # thread dropped its last view, perhaps one inside _fresh holding
+    # _block_lock: so it takes no lock, and list.append is atomic. The
+    # advice comes first, while no array can reach the block.
+    if hasattr(mmap, "MADV_FREE"):
+        try:
+            block.madvise(mmap.MADV_FREE)
+        except OSError:  # a kernel without MADV_FREE: the pages stay resident
+            pass
+    _free.append(block)
 
 
 def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    # An uninitialised, writable, C-ordered array for a grid's copy of at
-    # least one huge page. Where mmap cannot advise huge pages it is an
-    # ordinary heap array. Otherwise it is cut from the current block, end
-    # to end at 64-byte alignment, or from a new block when the current one
-    # is full or gone; a frame bigger than a block gets a block of its own.
-    # The module holds a block only weakly: each array keeps its block
-    # mapped, and the last one dropped unmaps it.
+    # An uninitialised, writable, C-ordered array of at least one huge
+    # page. Where mmap cannot advise huge pages it is an ordinary heap
+    # array. Otherwise it is cut from the current block, end to end at
+    # 64-byte alignment, or from a kept block, or a new one, when the
+    # current one is full or gone. Arrays are views of a block's owner, a
+    # uint8 array over it; the module holds the owner only weakly, and
+    # once its last view is dropped the block goes back to _free. A new
+    # block is mapped only when _free is empty, so the blocks mapped never
+    # outnumber the most that were ever in use at once. A frame bigger than
+    # a block gets a block of its own, unmapped when it is dropped.
     global _block, _block_used
     count = math.prod(shape)
     nbytes = count * dtype.itemsize
     advice = getattr(mmap, "MADV_HUGEPAGE", None)
     if advice is None:
         return np.empty(shape, dtype)
+    if nbytes > _BLOCK_BYTES:
+        return np.frombuffer(_map(nbytes, advice), dtype, count).reshape(shape)
     with _block_lock:
-        block = _block() if _block is not None else None
-        if block is None or _block_used + nbytes > len(block):
-            block = mmap.mmap(
-                -1, max(nbytes, _BLOCK_BYTES), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-            )
-            try:
-                block.madvise(advice)
-            except OSError:  # huge pages unsupported here: 4 KiB pages serve
-                pass
-            _block, _block_used = weakref.ref(block), 0
+        owner = _block() if _block is not None else None
+        if owner is None or _block_used + nbytes > _BLOCK_BYTES:
+            block = _free.pop() if _free else _map(_BLOCK_BYTES, advice)
+            owner = np.frombuffer(block, np.uint8)
+            weakref.finalize(owner, _release, block).atexit = False
+            _block, _block_used = weakref.ref(owner), 0
         offset = _block_used
         _block_used += -(-nbytes // _ALIGN) * _ALIGN
-    return np.frombuffer(block, dtype, count, offset).reshape(shape)
+    return np.frombuffer(owner, dtype, count, offset).reshape(shape)
 
 
 # The threads ``_split`` hands parts to: one per CPU beyond the caller's,
@@ -261,9 +297,15 @@ def _wrap(arr: np.ndarray) -> FrameGrid:
     return grid
 
 
+def _counts(names: tuple[str, str], a: int, b: int) -> tuple[int, int]:
+    # Two sizes as ints, or the error naming the one that is not an integer.
+    if type(a) is not int or type(b) is not int:
+        a, b = as_count(names[0], a), as_count(names[1], b)
+    return a, b
+
+
 def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, int]:
-    if type(stride_h) is not int or type(stride_w) is not int:
-        stride_h, stride_w = as_count("stride_h", stride_h), as_count("stride_w", stride_w)
+    stride_h, stride_w = _counts(("stride_h", "stride_w"), stride_h, stride_w)
     if stride_h < 1 or stride_w < 1:
         raise NonDivisibleStride(f"strides must be positive, got {stride_h}x{stride_w}")
     if grid.rows % stride_h or grid.cols % stride_w:
@@ -274,8 +316,7 @@ def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, 
 
 
 def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int, int]:
-    if type(out_rows) is not int or type(out_cols) is not int:
-        out_rows, out_cols = as_count("out_rows", out_rows), as_count("out_cols", out_cols)
+    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
         raise InvalidOutputShape(f"output must be positive, got {out_rows}x{out_cols}")
     if out_rows > grid.rows or out_cols > grid.cols:
@@ -286,8 +327,7 @@ def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int,
 
 
 def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
-    if type(out_rows) is not int or type(out_cols) is not int:
-        out_rows, out_cols = as_count("out_rows", out_rows), as_count("out_cols", out_cols)
+    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
         raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
     return out_rows, out_cols
@@ -296,6 +336,8 @@ def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
 def _strided_sums(v: np.ndarray, stride_h: int, stride_w: int) -> np.ndarray:
     # v holds frames one above another, (frames * rows, cols, channels);
     # the stride divides each frame's rows, so no block spans two frames.
+    # Sums of an input of a huge page or more go where such inputs go, in
+    # a block from _fresh, the rest onto the heap.
     rows, cols, channels = v.shape
     if channels == 1:
         blocks = np.ascontiguousarray(v).reshape(
@@ -303,7 +345,12 @@ def _strided_sums(v: np.ndarray, stride_h: int, stride_w: int) -> np.ndarray:
         )
         sums = np.add.reduce(blocks, axis=(1, 3), dtype=np.float64)
     else:
-        sums = np.array(v[0::stride_h, 0::stride_w], dtype=np.float64)
+        first = v[0::stride_h, 0::stride_w]
+        if v.nbytes < _HUGE_PAGE:
+            sums = np.array(first, dtype=np.float64)
+        else:
+            sums = _fresh(first.shape, np.dtype(np.float64))
+            np.copyto(sums, first)
         for a in range(stride_h):
             for b in range(stride_w):
                 if a or b:
@@ -337,7 +384,7 @@ def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid
         NonDivisibleStride: If a stride does not divide its dimension.
         ValueError: If a stride is not an integer.
     """
-    stride_h, stride_w = _check_strides(grid, stride_h, stride_w)
+    stride_h, stride_w = _counts(("stride_h", "stride_w"), stride_h, stride_w)
     return _pool([grid], "strided", stride_h, stride_w)[0]
 
 
@@ -424,7 +471,7 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
         InvalidOutputShape: If the target exceeds the input dimensions.
         ValueError: If a target size is not an integer.
     """
-    out_rows, out_cols = _check_adaptive(grid, out_rows, out_cols)
+    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
     return _pool([grid], "adaptive", out_rows, out_cols)[0]
 
 

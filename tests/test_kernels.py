@@ -222,15 +222,11 @@ class TestGridCopies:
             for b in grids[i + 1:]:
                 assert not np.shares_memory(a.values, b.values)
 
-    @_copy_shapes
-    def test_dropping_every_grid_of_a_block_frees_it(self, shape, monkeypatch):
-        monkeypatch.setattr(kernels, "_block", None)  # start a block of this test's own
+    @pytest.mark.parametrize("shape", [(6, 6, 4)], ids=["heap"])
+    def test_dropping_every_grid_of_a_block_frees_it(self, shape):
         src = _source(shape)
         grids = [FrameGrid(src) for _ in range(3)]
         owners = {id(_owner(g.values)): weakref.ref(_owner(g.values)) for g in grids}
-        if src.nbytes >= kernels._HUGE_PAGE:
-            (block,) = owners.values()
-            assert isinstance(block(), mmap.mmap) and kernels._block() is block()
         del grids[:2]
         gc.collect()
         assert sum(ref() is not None for ref in owners.values()) == 1
@@ -249,6 +245,139 @@ class TestGridCopies:
         assert got.values.flags.c_contiguous and not got.values.flags.writeable
         pooled = [avg_pool_strided(grid, 3, 3).values.tobytes() for grid in (got, want)]
         assert pooled[0] == pooled[1]
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no huge-page blocks here")
+class TestBlockReuse:
+    """A block whose every array is dropped is kept and serves the next ones."""
+
+    @pytest.fixture(autouse=True)
+    def _own_blocks(self, monkeypatch):
+        # Start a block of the test's own, with no kept blocks to take, and
+        # record every block mapped. A lock of the test's own keeps a hang
+        # here from other tests.
+        monkeypatch.setattr(kernels, "_block_lock", threading.Lock())
+        monkeypatch.setattr(kernels, "_block", None)
+        monkeypatch.setattr(kernels, "_free", [])
+        self.mapped = []
+        map_block = kernels._map
+
+        def record(nbytes, advice):
+            self.mapped.append(map_block(nbytes, advice))
+            return self.mapped[-1]
+
+        monkeypatch.setattr(kernels, "_map", record)
+
+    @staticmethod
+    def _clip():
+        # 16 frames of 2.25 MiB: 14 fit a block, so the clip takes two.
+        return np.random.default_rng(1).random((16, 24, 24, 1024), dtype=np.float32)
+
+    def test_a_dropped_block_serves_the_next_grid(self):
+        src = _source((24, 24, 1024))
+        grids = [FrameGrid(src) for _ in range(3)]
+        (block,) = self.mapped
+        assert all(_owner(g.values) is block for g in grids)
+        del grids[:2]
+        gc.collect()
+        assert kernels._free == []
+        del grids
+        gc.collect()
+        assert kernels._free == [block]
+        other = 1 - src  # other values than the block held
+        grid = FrameGrid(other)
+        assert _owner(grid.values) is block and kernels._free == [] and len(self.mapped) == 1
+        assert grid.values.tobytes() == other.tobytes()
+
+    def test_rewrapping_a_clip_maps_no_more_blocks_than_one_clip(self):
+        clip = self._clip()
+        for _ in range(3):
+            grids = [FrameGrid(frame) for frame in clip]
+            assert all(g.values.tobytes() == frame.tobytes() for g, frame in zip(grids, clip))
+            del grids
+            gc.collect()
+            assert len(self.mapped) == 2 and len(kernels._free) == 2
+
+    def test_an_oversized_frames_block_is_unmapped_with_it(self):
+        src = np.ones((96, 96, 1024), np.float32)  # 36 MiB, over one block
+        grid = FrameGrid(src)
+        block = weakref.ref(_owner(grid.values))
+        assert self.mapped == [block()] and len(block()) == src.nbytes
+        self.mapped.clear()
+        del grid
+        gc.collect()
+        assert block() is None and kernels._free == []
+
+    def test_rewrapping_a_clip_takes_a_tenth_of_the_faults(self):
+        import resource
+
+        clip = self._clip()
+
+        def faults_to_wrap():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            grids = [FrameGrid(frame) for frame in clip]
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            del grids
+            gc.collect()
+            return faults
+
+        first = faults_to_wrap()
+        assert faults_to_wrap() < first / 10
+
+    def test_a_block_released_inside_fresh_does_not_hang(self, monkeypatch):
+        # The current block's last grid is dropped while _fresh, holding the
+        # block lock, maps the next block, so the block is released right
+        # there, in that thread; a release that waited for the lock would
+        # hang.
+        src = np.ones((68, 64, 1024), np.float32)  # over half a block: a block each
+        held = [FrameGrid(src)]
+        map_block = kernels._map
+
+        def drop_then_map(nbytes, advice):
+            held.clear()
+            return map_block(nbytes, advice)
+
+        monkeypatch.setattr(kernels, "_map", drop_then_map)
+        built = []
+        thread = threading.Thread(target=lambda: built.append(FrameGrid(src)), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(self.mapped) == 2 and kernels._free == [self.mapped[0]]
+        assert built[0].values.tobytes() == src.tobytes()
+
+    def test_two_threads_building_and_dropping_grids_finish_and_copy_exactly(self):
+        # Frames over half a block take a block each, so each thread copies
+        # into blocks the other's drops returned, and a drop can release a
+        # block inside the other's _fresh, as the test above forces.
+        frames = np.random.default_rng(1).random((2, 68, 64, 1024), dtype=np.float32)
+        done, wrong = [0, 0], []
+        start = threading.Barrier(2)
+
+        def churn(k):
+            start.wait()
+            for _ in range(50):
+                grid = FrameGrid(frames[k])
+                if not np.array_equal(grid.values, frames[k]):
+                    wrong.append(k)
+                del grid
+                done[k] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,), daemon=True) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [50, 50] and wrong == []
+        # Each thread holds one grid at a time, and _fresh briefly the
+        # block it moves off: at most three blocks are ever in use at once.
+        assert len(self.mapped) <= 3
 
 
 # The CPU counts the split paths are compared at: serial, and this
@@ -291,6 +420,25 @@ class TestSplitWork:
                     sequence.layout_lines())
 
         assert run(1) == run(_SPLIT_CPUS)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_slow_results_from_blocks_match_the_heap_and_numpy_mean(self, dtype, monkeypatch):
+        rng = np.random.default_rng(5)
+        values = [(rng.standard_normal((30, 30, 1024)) * 100).astype(dtype) for _ in range(3)]
+        cfg = PathwayConfig(n_total=3, n_slow=3)
+
+        def slow():
+            return [p.values for p in run_slow_pathway([FrameGrid(v) for v in values], cfg)]
+
+        from_blocks = slow()
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            assert all(isinstance(_owner(r), mmap.mmap) for r in from_blocks)
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+        from_heap = slow()
+        assert all(isinstance(_owner(r), np.ndarray) for r in from_heap)
+        for v, got, heap in zip(values, from_blocks, from_heap):
+            want = v.astype(np.float64).reshape(15, 2, 15, 2, 1024).mean(axis=(1, 3))
+            assert got.tobytes() == heap.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -611,6 +759,23 @@ class TestKernelArguments:
         args[position] = value
         with pytest.raises(ValueError, match=f"{names[position]} must be an integer"):
             fn(FrameGrid(np.ones((4, 6, 2))), *args)
+
+    @pytest.mark.parametrize("kernel, sizes, error, message", [
+        (avg_pool_strided, (4, 4), NonDivisibleStride, "strides 4x4 do not divide grid 6x8"),
+        (avg_pool_strided, (0, 2), NonDivisibleStride, "strides must be positive, got 0x2"),
+        (avg_pool_strided, (2, 2.0), ValueError, "stride_w must be an integer, got 2.0"),
+        (avg_pool_adaptive, (7, 2), InvalidOutputShape, "output 7x2 exceeds input 6x8"),
+        (avg_pool_adaptive, (2, -1), InvalidOutputShape, "output must be positive, got 2x-1"),
+        (avg_pool_adaptive, (True, 2), ValueError, "out_rows must be an integer, got True"),
+    ])
+    def test_misfit_sizes_raise_alike_with_and_without_kept_results(self, kernel, sizes, error,
+                                                                       message):
+        grid = FrameGrid(np.arange(48.0).reshape(6, 8, 1))
+        for _ in range(2):  # a fresh grid, then one that keeps a result
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                kernel(grid, *sizes)
+            kernel(grid, 2, 2)
+        assert len(grid._pooled) == 1
 
     @pytest.mark.parametrize("sized", _SIZED)
     def test_numpy_integers_accepted(self, sized):
