@@ -248,7 +248,9 @@ def sweep(
 
 
 def sweep_csv(configs: Sequence[PathwayConfig], reports: Sequence[BudgetReport]) -> str:
-    """Render sweep results as CSV, one row per config."""
+    """Render sweep results as CSV, one row per config; lists of unequal length raise."""
+    if len(configs) != len(reports):
+        raise ValueError(f"configs and reports differ in length: {len(configs)} != {len(reports)}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))

@@ -41,34 +41,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="config file (path or bundled name)")
-    parser.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        action="append",
-        dest="overrides",
-        default=[],
-        help="override a config key (repeatable)",
-    )
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default=None, help="output format"
-    )
-    parser.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=42, help="seed for seeded commands")
+# Each option's settings; a command registers only the options it reads.
+_OPTIONS = {
+    "--config": {"metavar": "PATH", "help": "config file (path or bundled name)"},
+    "--set": {"metavar": "KEY=VALUE", "action": "append", "dest": "overrides", "default": [],
+              "help": "override a config key (repeatable)"},
+    "--format": {"choices": ("json", "csv", "text"), "help": "output format"},
+    "--out": {"metavar": "PATH", "help": "write output to a file instead of stdout"},
+    "--seed": {"type": int, "default": 42, "help": "seed for the self-check inputs"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sft", description="Video token budget planning and self-checks.")
     sub = parser.add_subparsers(dest="command")
-    for name, handler, doc in (
-        ("plan", _cmd_plan, "compute one token budget and report context fit"),
-        ("sweep", _cmd_sweep, "compute budgets for every config row"),
-        ("arrange", _cmd_arrange, "emit the token layout for one config, planned without features"),
-        ("check", _cmd_check, "run kernel oracles and golden sweep checks"),
+    for name, handler, doc, options in (
+        ("plan", _cmd_plan, "compute one token budget and report context fit",
+         ("--config", "--set", "--format", "--out")),
+        ("sweep", _cmd_sweep, "compute budgets for every config row",
+         ("--config", "--set", "--format", "--out")),
+        ("arrange", _cmd_arrange, "emit the token layout for one config, planned without features",
+         ("--config", "--set", "--out")),
+        ("check", _cmd_check, "run kernel oracles and golden sweep checks", ("--seed", "--out")),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(handler=handler)
     return parser
 

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .errors import DegenerateResize, InvalidDuration
+from .errors import DegenerateResize, InvalidDuration, NonDivisibleStride
 
 FPS_MODE = "fps"
 UNIFORM_FALLBACK_MODE = "uniform-fallback"
@@ -30,6 +30,19 @@ def as_count(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_counts(names: tuple[str, str], a, b) -> tuple[int, int]:
+    """Two sizes through ``as_count``, the error naming the first that is not an integer."""
+    if type(a) is not int or type(b) is not int:
+        a, b = as_count(names[0], a), as_count(names[1], b)
+    return a, b
+
+
+def check_strides_divide(stride_h: int, stride_w: int, rows: int, cols: int) -> None:
+    """Raise ``NonDivisibleStride`` unless the strides divide a ``rows x cols`` grid."""
+    if rows % stride_h or cols % stride_w:
+        raise NonDivisibleStride(f"strides {stride_h}x{stride_w} do not divide grid {rows}x{cols}")
 
 
 def store_counts(record, *names: str) -> None:

@@ -65,7 +65,7 @@ thread, and so does a process with one CPU. Results and errors are those of
 the serial path, bit for bit: a grid is sealed once every band is done,
 and pooled results are kept on the calling thread, in order, up to the
 first stack that fails, whose error is raised. The pool is started at the
-first split, not on import, and a forked child starts its own.
+first split, not on import; a forked child starts its own, and new locks.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidOutputShape, NonDivisibleStride
-from .geometry import PatchGrid, as_count
+from .geometry import PatchGrid, as_count, as_counts, check_strides_divide
 
 _NATIVE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -229,19 +229,19 @@ def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 
 
 # The threads ``_split`` hands parts to: one per CPU beyond the caller's,
-# started at the first split, not at import, and forgotten in a forked
-# child, where they do not run.
+# started at the first split, not at import. A forked child forgets them and
+# takes new locks, as no thread that held one at the fork runs there.
 _workers_lock = threading.Lock()
 _workers = None
 
 
-def _forget_workers() -> None:
-    global _workers, _workers_lock
-    _workers, _workers_lock = None, threading.Lock()
+def _reset_in_child() -> None:
+    global _workers, _workers_lock, _block_lock
+    _workers, _workers_lock, _block_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
+    os.register_at_fork(after_in_child=_reset_in_child)
 
 
 def _cpus() -> int:
@@ -297,26 +297,16 @@ def _wrap(arr: np.ndarray) -> FrameGrid:
     return grid
 
 
-def _counts(names: tuple[str, str], a: int, b: int) -> tuple[int, int]:
-    # Two sizes as ints, or the error naming the one that is not an integer.
-    if type(a) is not int or type(b) is not int:
-        a, b = as_count(names[0], a), as_count(names[1], b)
-    return a, b
-
-
 def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, int]:
-    stride_h, stride_w = _counts(("stride_h", "stride_w"), stride_h, stride_w)
+    stride_h, stride_w = as_counts(("stride_h", "stride_w"), stride_h, stride_w)
     if stride_h < 1 or stride_w < 1:
         raise NonDivisibleStride(f"strides must be positive, got {stride_h}x{stride_w}")
-    if grid.rows % stride_h or grid.cols % stride_w:
-        raise NonDivisibleStride(
-            f"strides {stride_h}x{stride_w} do not divide grid {grid.rows}x{grid.cols}"
-        )
+    check_strides_divide(stride_h, stride_w, grid.rows, grid.cols)
     return stride_h, stride_w
 
 
 def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int, int]:
-    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
+    out_rows, out_cols = as_counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
         raise InvalidOutputShape(f"output must be positive, got {out_rows}x{out_cols}")
     if out_rows > grid.rows or out_cols > grid.cols:
@@ -327,7 +317,7 @@ def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int,
 
 
 def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
-    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
+    out_rows, out_cols = as_counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
         raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
     return out_rows, out_cols
@@ -384,7 +374,7 @@ def avg_pool_strided(grid: FrameGrid, stride_h: int, stride_w: int) -> FrameGrid
         NonDivisibleStride: If a stride does not divide its dimension.
         ValueError: If a stride is not an integer.
     """
-    stride_h, stride_w = _counts(("stride_h", "stride_w"), stride_h, stride_w)
+    stride_h, stride_w = as_counts(("stride_h", "stride_w"), stride_h, stride_w)
     return _pool([grid], "strided", stride_h, stride_w)[0]
 
 
@@ -471,7 +461,7 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
         InvalidOutputShape: If the target exceeds the input dimensions.
         ValueError: If a target size is not an integer.
     """
-    out_rows, out_cols = _counts(("out_rows", "out_cols"), out_rows, out_cols)
+    out_rows, out_cols = as_counts(("out_rows", "out_cols"), out_rows, out_cols)
     return _pool([grid], "adaptive", out_rows, out_cols)[0]
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import InvalidCount, InvalidOutputShape, NonDivisibleStride
-from .geometry import PatchGrid, as_count, store_counts
+from .errors import InvalidCount, InvalidOutputShape
+from .geometry import PatchGrid, as_counts, check_strides_divide, store_counts
 
 if TYPE_CHECKING:
     from .kernels import FrameGrid
@@ -143,8 +143,7 @@ def select_slow_frames(n_total: int, n_slow: int) -> list[int]:
         ValueError: If either count is not an integer.
         InvalidCount: If ``n_slow`` is negative or exceeds ``n_total``.
     """
-    if type(n_total) is not int or type(n_slow) is not int:
-        n_total, n_slow = as_count("n_total", n_total), as_count("n_slow", n_slow)
+    n_total, n_slow = as_counts(("n_total", "n_slow"), n_total, n_slow)
     if n_slow < 0 or n_slow > n_total:
         raise InvalidCount(f"n_slow must be in [0, {n_total}], got {n_slow}")
     return [i * n_total // n_slow for i in range(n_slow)]
@@ -169,10 +168,8 @@ def slow_grid(cfg: PathwayConfig, grid: PatchGrid) -> tuple[int, int]:
         raise InvalidOutputShape(
             f"fast grid {cfg.fast_rows}x{cfg.fast_cols} exceeds frame grid {grid.rows}x{grid.cols}"
         )
-    if cfg.n_slow and (grid.rows % cfg.stride_h or grid.cols % cfg.stride_w):
-        raise NonDivisibleStride(
-            f"strides {cfg.stride_h}x{cfg.stride_w} do not divide grid {grid.rows}x{grid.cols}"
-        )
+    if cfg.n_slow:
+        check_strides_divide(cfg.stride_h, cfg.stride_w, grid.rows, grid.cols)
     return grid.rows // cfg.stride_h, grid.cols // cfg.stride_w
 
 

@@ -167,6 +167,14 @@ class TestSweep:
         assert lines[4] == "128,0,128,ISF,28800,128,28K,false"
         assert lines[6] == "32,128,128,GSF,9248,1,9K,true"
 
+    def test_csv_rejects_lists_of_unequal_length(self):
+        cfg = DEFAULT_VIDEO_CONFIG
+        report = video_budget(cfg, GRID, STAGE2)
+        with pytest.raises(ValueError, match="^configs and reports differ in length: 2 != 1$"):
+            sweep_csv([cfg, cfg], [report])
+        with pytest.raises(ValueError, match="^configs and reports differ in length: 1 != 2$"):
+            sweep_csv([cfg], [report, report])
+
 
 class TestMonotonicity:
     def test_more_slow_frames_never_cheaper(self):

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -486,6 +487,34 @@ class TestPlumbing:
     def test_bad_flag_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "plan", "--format", "yaml")
         assert code == 1
+
+    def test_each_command_registers_only_the_options_it_reads(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        config = {"--config", "--set"}
+        assert options == {
+            "plan": config | {"--format", "--out"},
+            "sweep": config | {"--format", "--out"},
+            "arrange": config | {"--out"},
+            "check": {"--seed", "--out"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--seed", "1"],
+        ["sweep", "--seed", "1"],
+        ["arrange", "--seed", "1"],
+        ["arrange", "--format", "json"],
+        ["check", "--format", "json"],
+        ["check", "--config", "table4.cfg"],
+        ["check", "--set", "n_slow=0"],
+    ], ids=" ".join)
+    def test_an_option_the_command_does_not_read_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
     def test_overrides_parse_json_scalars(self):
         doc = load_config(None, ["n_slow=16", "arrangement=ISF"])

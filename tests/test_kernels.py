@@ -386,18 +386,30 @@ _SPLIT_CPUS = max(2, kernels._cpus())
 
 # Splits once, forks, and builds an encoder-width grid in the child, which
 # SIGALRM ends if it hangs; prints the child's exit code.
+# The child splits a copy again, and carves it from a block although
+# another thread held the block lock when it was forked.
 FORK_CHILD = """
-import os, signal
+import os, signal, threading
 import numpy as np
 from sftokens import FrameGrid, kernels
 kernels._cpus = lambda: 2
 src = np.ones((30, 30, 1024), np.float32)
 FrameGrid(src)
+held, release = threading.Event(), threading.Event()
+def hold():
+    with kernels._block_lock:
+        held.set()
+        release.wait()
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
 pid = os.fork()
 if pid == 0:
     signal.alarm(10)
     FrameGrid(src)
     os._exit(0)
+release.set()
+holder.join()
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 

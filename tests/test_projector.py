@@ -605,3 +605,20 @@ class TestLayoutProperty:
             assert not frames[0]._pooled  # a misfit is found before anything pools
         else:
             assert plan_layout(cfg, patch) == project_video(frames, cfg)
+
+
+class TestPathwayMisfits:
+    @settings(max_examples=200, deadline=None)
+    @given(_misfit_case())
+    def test_each_pathway_raises_exactly_on_its_misfit_and_keeps_nothing(self, case):
+        cfg, patch = case
+        frames = [synth_features(i, patch, 2) for i in range(cfg.n_total)]
+        slow_misfit = cfg.n_slow > 0 and bool(patch.rows % cfg.stride_h or patch.cols % cfg.stride_w)
+        fast_misfit = cfg.n_fast > 0 and (cfg.fast_rows > patch.rows or cfg.fast_cols > patch.cols)
+        for run, kind, misfit, error in (
+            (run_slow_pathway, "strided", slow_misfit, NonDivisibleStride),
+            (run_fast_pathway, "adaptive", fast_misfit, InvalidOutputShape),
+        ):
+            assert _raised(lambda: run(frames, cfg)) is (error if misfit else None)
+            if misfit:
+                assert not [key for frame in frames for key in frame._pooled if key[0] == kind]
