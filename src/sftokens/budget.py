@@ -18,7 +18,7 @@ from .geometry import (
     AreaThresholds, PatchGrid, Resolution, as_count, check_band, patch_grid, plan_resize,
     store_counts,
 )
-from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, slow_grid
+from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, token_counts
 
 DEFAULT_TEXT_ALLOWANCE = 512
 
@@ -195,13 +195,9 @@ def video_budget(
 ) -> BudgetReport:
     """Count the tokens a video produces under ``cfg`` on per-frame ``grid``.
 
-    Frame and separator counts come from ``cfg``, which owns the
-    arrangement rules, and ``slow_grid`` checks the fit. A budget that does
-    not fit the context window is reported, not raised.
+    ``token_counts`` gives the counts and raises on a misfit; an overflow is reported, not raised.
     """
-    slow = cfg.n_slow * math.prod(slow_grid(cfg, grid))
-    fast = cfg.n_fast * cfg.fast_tokens_per_frame
-    return BudgetReport(slow, fast, cfg.n_separators, text_allowance, stage.context_length)
+    return BudgetReport(*token_counts(cfg, grid), text_allowance, stage.context_length)
 
 
 def image_budget(

@@ -13,6 +13,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -193,7 +194,7 @@ class SamplingPlan:
             inside ``[0, source_duration)``.
 
     Raises:
-        InvalidDuration: If ``source_duration`` is not strictly positive and finite.
+        InvalidDuration: If ``source_duration`` is not a positive, finite real number.
     """
 
     source_duration: float
@@ -203,11 +204,16 @@ class SamplingPlan:
     timestamps: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        for key, name, error in (("source_duration", "duration", InvalidDuration),
+                                 ("target_fps", "target_fps", ValueError)):
+            value = getattr(self, key)
+            if type(value) not in (int, float):  # int and float skip the slower ABC check
+                if type(value) is bool or not isinstance(value, numbers.Real):
+                    raise error(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise error(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, key, float(value))  # Fractions, numpy scalars count as floats
         duration, target_fps = self.source_duration, self.target_fps
-        if not 0 < duration < math.inf:
-            raise InvalidDuration(f"duration must be positive and finite, got {duration}")
-        if not 0 < target_fps < math.inf:
-            raise ValueError(f"target_fps must be positive and finite, got {target_fps}")
         store_counts(self, "max_frames")
         max_frames = self.max_frames
         if max_frames < 1:
@@ -227,8 +233,6 @@ class SamplingPlan:
                 # before the duration.
                 timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
             mode = FPS_MODE
-        object.__setattr__(self, "source_duration", float(duration))
-        object.__setattr__(self, "target_fps", float(target_fps))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "timestamps", timestamps)
 

@@ -7,21 +7,21 @@ sequence, grouped (GSF: every slow frame, one separator, then every frame
 fast) or interleaved (ISF: frames in time order, each slow or else fast,
 each closed by a separator).
 
-These rules live only here. A sequence is a tuple of blocks, one per
-pooled frame or separator; a frame's tokens are its grid cells in
-row-major order, spelled out only by ``layout_lines``. Only ``plan_layout``
-builds a sequence, from integers alone, through ``arrange_gsf`` or
-``arrange_isf``; ``project_video`` checks its frames, plans their sequence
-before it pools, and returns it, so every pooled frame is in exactly the
-stream its block names. Identical inputs always produce identical sequences.
-Nothing here needs numpy until a pathway pools, so the budget can import
-this module without it.
+These rules live only here. ``token_counts`` is the one token count, for
+sequences and budgets alike. A sequence holds its config and patch grid, and
+builds its blocks (one per pooled frame or separator) on first read through
+``arrange_gsf`` or ``arrange_isf``; ``layout_lines`` alone spells out a
+frame's tokens, its grid cells in row-major order. ``project_video`` checks
+its frames, plans their sequence and pools the frames its blocks name.
+Equal inputs give equal sequences. Nothing here needs numpy until a pathway
+pools, so the budget can import this module without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidCount, InvalidOutputShape
@@ -70,6 +70,8 @@ class PathwayConfig:
             raise ValueError("strides must be positive")
         if self.fast_rows < 1 or self.fast_cols < 1:
             raise ValueError("fast grid must be positive")
+        if self.arrangement not in ("GSF", "ISF"):
+            raise ValueError(f"arrangement must be 'GSF' or 'ISF', got {self.arrangement!r}")
         object.__setattr__(self, "arrangement", Arrangement(self.arrangement))
 
     @property
@@ -102,21 +104,25 @@ SEPARATOR = TokenBlock("separator", None, 1, 1)
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """The config that produced a sequence, plus its blocks in token order."""
+    """The tokens ``config`` lays out on frames of ``grid``; ``blocks`` is built on first read."""
 
     config: PathwayConfig
-    blocks: tuple[TokenBlock, ...]
+    grid: PatchGrid
+    content_count: int = field(init=False, repr=False, compare=False)
+    separator_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        slow, fast, separators = token_counts(self.config, self.grid)
+        object.__setattr__(self, "content_count", slow + fast)
+        object.__setattr__(self, "separator_count", separators)
 
     def __len__(self) -> int:
-        return sum(block.rows * block.cols for block in self.blocks)
+        return self.content_count + self.separator_count
 
-    @property
-    def separator_count(self) -> int:
-        return self.blocks.count(SEPARATOR)
-
-    @property
-    def content_count(self) -> int:
-        return len(self) - self.separator_count
+    @cached_property
+    def blocks(self) -> tuple[TokenBlock, ...]:
+        arrange = arrange_gsf if self.config.arrangement is Arrangement.GSF else arrange_isf
+        return arrange(self.config, self.grid)
 
     def layout_lines(self) -> list[str]:
         """Render one line per token: ``kind pathway frame row col``."""
@@ -173,6 +179,12 @@ def slow_grid(cfg: PathwayConfig, grid: PatchGrid) -> tuple[int, int]:
     return grid.rows // cfg.stride_h, grid.cols // cfg.stride_w
 
 
+def token_counts(cfg: PathwayConfig, grid: PatchGrid) -> tuple[int, int, int]:
+    """Slow, fast and separator tokens of ``cfg`` on ``grid``; raises as ``slow_grid`` does."""
+    rows, cols = slow_grid(cfg, grid)
+    return cfg.n_slow * rows * cols, cfg.n_fast * cfg.fast_tokens_per_frame, cfg.n_separators
+
+
 def _check_frames(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> None:
     from .kernels import FrameGrid  # numpy loads on first pooling, not on import
 
@@ -210,41 +222,39 @@ def _blocks(cfg: PathwayConfig, grid: PatchGrid, order: Arrangement) -> tuple[li
     return slow, fast
 
 
-def arrange_gsf(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
-    """Arrange grouped: slow frames, one separator (always), every frame fast.
+def arrange_gsf(cfg: PathwayConfig, grid: PatchGrid) -> tuple[TokenBlock, ...]:
+    """A GSF sequence's blocks: slow frames, one separator (always), every frame fast.
 
     Raises ``ValueError`` for an ISF config, then as ``slow_grid`` does.
     """
     slow, fast = _blocks(cfg, grid, Arrangement.GSF)
-    return TokenSequence(cfg, (*slow, SEPARATOR, *fast))
+    return (*slow, SEPARATOR, *fast)
 
 
-def arrange_isf(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
-    """Arrange interleaved: frames in time order, a separator after each.
+def arrange_isf(cfg: PathwayConfig, grid: PatchGrid) -> tuple[TokenBlock, ...]:
+    """An ISF sequence's blocks: frames in time order, a separator after each.
 
     Raises ``ValueError`` for a GSF config, then as ``slow_grid`` does.
     """
     slow, fast = _blocks(cfg, grid, Arrangement.ISF)
     by_frame = sorted(slow + fast, key=lambda block: block.frame)
-    return TokenSequence(cfg, tuple(b for block in by_frame for b in (block, SEPARATOR)))
+    return tuple(b for block in by_frame for b in (block, SEPARATOR))
 
 
 def plan_layout(cfg: PathwayConfig, grid: PatchGrid) -> TokenSequence:
     """The sequence ``project_video`` returns for frames of ``grid``, without pooling.
 
-    Raises ``InvalidOutputShape`` or ``NonDivisibleStride`` as ``slow_grid``
-    does, exactly when ``project_video`` would raise.
+    Raises as ``slow_grid`` does, exactly when ``project_video`` would raise.
     """
-    arrange = arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf
-    return arrange(cfg, grid)
+    return TokenSequence(cfg, grid)
 
 
 def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSequence:
     """Check ``frames``, plan their sequence, pool both streams and return the sequence.
 
     Nothing is pooled unless ``plan_layout`` accepts the frames' grid. The
-    frames are checked once, and each stream pools the frames its blocks
-    name, as ``run_slow_pathway`` and ``run_fast_pathway`` would.
+    frames are checked once; each stream pools the frames its blocks are built
+    from, as ``run_slow_pathway`` and ``run_fast_pathway`` would.
     """
     from .kernels import _pool
 
@@ -252,8 +262,8 @@ def project_video(frames: Sequence[FrameGrid], cfg: PathwayConfig) -> TokenSeque
     if len({frame.shape for frame in frames}) > 1:
         raise ValueError("all frames must share one shape")
     sequence = plan_layout(cfg, PatchGrid(frames[0].rows, frames[0].cols))
-    slow = [frames[block.frame] for block in sequence.blocks if block.pathway == "slow"]
-    fast = [frames[block.frame] for block in sequence.blocks if block.pathway == "fast"]
+    slow = [frames[i] for i in select_slow_frames(cfg.n_total, cfg.n_slow)]
+    fast = [frames[i] for i in fast_frame_indices(cfg)]
     _pool(slow, "strided", cfg.stride_h, cfg.stride_w)
     _pool(fast, "adaptive", cfg.fast_rows, cfg.fast_cols)
     return sequence

@@ -24,6 +24,7 @@ PINNED_ERRORS = [
 ] + [
     (["text_allowance=-1"], "error: text_allowance must be a non-negative integer, got -1\n"),
     (["stage=III"], "error: stage must be 'I' or 'II', got 'III'\n"),
+    (["arrangement=gsf"], "error: arrangement must be 'GSF' or 'ISF', got 'gsf'\n"),
     # The default pathway is sized to max_frames, so a cap below 1 stops here.
     (["max_frames=0"], "error: max_frames must be at least 1, got 0\n"),
     (["max_frames=-5"], "error: max_frames must be at least 1, got -5\n"),

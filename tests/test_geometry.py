@@ -1,7 +1,9 @@
 """Resize planning and frame sampling."""
 
 import math
+import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,9 @@ from sftokens import (
 
 VIDEO_BAND = AreaThresholds(288 * 288, 480 * 480)
 NOT_AN_INTEGER = st.one_of(st.floats(), st.booleans(), st.text())
+# Neither a real number nor a non-bool one; each must fail where it enters.
+NOT_A_REAL = ["10", Decimal("10"), True, False, np.True_, None, 10 + 0j, [10]]
+REAL_TENS = [10, 10.0, np.float32(10), np.float64(10), np.int64(10), Fraction(10)]
 
 
 class TestTypes:
@@ -224,6 +229,43 @@ class TestSampleFrames:
                 sample_frames(bad)
             with pytest.raises(ValueError):
                 sample_frames(10.0, target_fps=bad)
+
+    @pytest.mark.parametrize("bad", NOT_A_REAL, ids=repr)
+    def test_duration_must_be_a_real_number(self, bad):
+        message = f"^duration must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidDuration, match=message):
+            sample_frames(bad)
+
+    @pytest.mark.parametrize("bad", NOT_A_REAL, ids=repr)
+    def test_rate_must_be_a_real_number(self, bad):
+        message = f"^target_fps must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message) as info:
+            sample_frames(10.0, bad)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("duration, fps, shown", [
+        (0.0, 1.0, "duration must be positive and finite, got 0.0"),
+        (-3, 1.0, "duration must be positive and finite, got -3"),
+        (Fraction(-1, 2), 1.0, "duration must be positive and finite, got -1/2"),
+        (math.nan, 1.0, "duration must be positive and finite, got nan"),
+        (np.float32(math.inf), 1.0, "duration must be positive and finite, got inf"),
+        (10.0, 0, "target_fps must be positive and finite, got 0"),
+        (10.0, -math.inf, "target_fps must be positive and finite, got -inf"),
+    ])
+    def test_out_of_range_messages(self, duration, fps, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$") as info:
+            sample_frames(duration, fps)
+        assert isinstance(info.value, InvalidDuration) == shown.startswith("duration")
+
+    @pytest.mark.parametrize("ten", REAL_TENS, ids=repr)
+    @pytest.mark.parametrize("duration", [10, 1000], ids=["fps", "fallback"])
+    def test_real_numbers_plan_as_their_floats(self, ten, duration):
+        # Fractions and numpy numbers are read as floats where they enter,
+        # so every plan holds floats, in either mode.
+        for plan in (sample_frames(ten * duration / 10), sample_frames(duration, ten / 10)):
+            assert plan == sample_frames(float(duration), 1.0)
+            assert type(plan.source_duration) is type(plan.target_fps) is float
+            assert {type(t) for t in plan.timestamps} == {float}
 
     def test_decimal_count_fits_cap(self):
         # 8.3 * 30 is 249.00000000000003 in floats; the frames k/30 < 8.3

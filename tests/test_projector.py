@@ -1,5 +1,6 @@
 """Slow/fast pathway execution and token arrangement."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -19,6 +20,7 @@ from sftokens import (
     PatchGrid,
     PathwayConfig,
     TokenBlock,
+    TokenSequence,
     arrange_gsf,
     arrange_isf,
     avg_pool_adaptive,
@@ -62,6 +64,12 @@ class TestConfig:
             PathwayConfig(n_total=4, n_slow=2, stride_h=0)
         with pytest.raises(ValueError):
             PathwayConfig(n_total=4, n_slow=2, arrangement="XYZ")
+
+    @pytest.mark.parametrize("bad", ["gsf", "XYZ", "", None, 1, ["GSF"]])
+    def test_arrangement_error_names_the_key(self, bad):
+        message = f"^arrangement must be 'GSF' or 'ISF', got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            PathwayConfig(n_total=4, n_slow=2, arrangement=bad)
 
     def test_arrangement_accepts_string(self):
         cfg = PathwayConfig(n_total=4, n_slow=2, arrangement="ISF")
@@ -463,6 +471,58 @@ class TestLayoutExport:
         ]
 
 
+def _count_arrangements(monkeypatch) -> list[str]:
+    """Wrap both arrange functions so each call appends its name to the returned list."""
+    calls: list[str] = []
+    for name in ("arrange_gsf", "arrange_isf"):
+        def counted(cfg, grid, arrange=getattr(projector, name), name=name):
+            calls.append(name)
+            return arrange(cfg, grid)
+
+        monkeypatch.setattr(projector, name, counted)
+    return calls
+
+
+class TestTokenSequence:
+    """A sequence holds its config and grid; its blocks are built only when read."""
+
+    CONFIGS = [DEFAULT_VIDEO_CONFIG, replace(DEFAULT_VIDEO_CONFIG, arrangement=Arrangement.ISF)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["GSF", "ISF"])
+    def test_planning_and_projecting_build_no_blocks(self, monkeypatch, cfg):
+        calls = _count_arrangements(monkeypatch)
+        planned = plan_layout(cfg, PatchGrid(30, 30))
+        projected = project_video(make_frames(128, 30, 30), cfg)
+        assert len(planned) == len(projected) == (9249 if cfg is DEFAULT_VIDEO_CONFIG else 8864)
+        assert (planned.content_count, planned.separator_count) == (
+            projected.content_count, projected.separator_count,
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["GSF", "ISF"])
+    def test_first_read_builds_the_blocks_once(self, monkeypatch, cfg):
+        grid = PatchGrid(30, 30)
+        want = (arrange_gsf if cfg.arrangement is Arrangement.GSF else arrange_isf)(cfg, grid)
+        calls = _count_arrangements(monkeypatch)
+        seq = plan_layout(cfg, grid)
+        blocks = seq.blocks
+        assert calls == [f"arrange_{cfg.arrangement.value.lower()}"]
+        assert seq.blocks is blocks and blocks == want
+        assert len(calls) == 1
+
+    def test_equality_hash_and_repr_go_by_config_and_grid(self):
+        grid = PatchGrid(30, 30)
+        seq = TokenSequence(DEFAULT_VIDEO_CONFIG, grid)
+        read = plan_layout(DEFAULT_VIDEO_CONFIG, grid)
+        assert read.blocks  # a cached block tuple changes neither equality nor repr
+        assert seq == read and hash(seq) == hash(read)
+        assert repr(seq) == repr(read) == (
+            f"TokenSequence(config={DEFAULT_VIDEO_CONFIG!r}, grid={grid!r})"
+        )
+        assert seq != TokenSequence(DEFAULT_VIDEO_CONFIG, PatchGrid(30, 32))
+        assert seq != TokenSequence(replace(DEFAULT_VIDEO_CONFIG, n_slow=31), grid)
+
+
 class TestArrangementLaws:
     """Length laws on random configs; the acceptance suite runs 1000."""
 
@@ -502,6 +562,7 @@ class TestArrangementLaws:
         frames = make_frames(6, 4, 4, channels=2)
         cfg = PathwayConfig(n_total=6, n_slow=2, fast_rows=2, fast_cols=2)
         assert project_video(frames, cfg) == project_video(frames, cfg)
+        assert project_video(frames, cfg).blocks == project_video(frames, cfg).blocks
 
 
 @st.composite
@@ -536,6 +597,15 @@ def _misfit_case(draw):
         arrangement=draw(st.sampled_from(Arrangement)),
     )
     return cfg, PatchGrid(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+
+
+def _message(call):
+    """The type and message of the misfit ``call`` raises, or None."""
+    try:
+        call()
+    except (NonDivisibleStride, InvalidOutputShape) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def _raised(call):
@@ -577,6 +647,7 @@ class TestLayoutProperty:
         )
         assert seq.content_count == report.content_tokens
         assert len(seq) == len(seq.layout_lines()) == report.total_tokens
+        assert sum(b.rows * b.cols for b in seq.blocks) == len(seq)  # the block sum as oracle
 
         content = [b.frame for b in seq.blocks if b != SEPARATOR]
         if cfg.arrangement is Arrangement.ISF:
@@ -591,17 +662,18 @@ class TestLayoutProperty:
     def test_planner_and_budget_raise_when_pooling_does(self, case):
         cfg, patch = case
         frames = [synth_features(0, patch, 1)] * cfg.n_total
-        pooled = _raised(lambda: project_video(frames, cfg))
-        planned = _raised(lambda: plan_layout(cfg, patch))
-        budgeted = _raised(lambda: video_budget(cfg, patch, stage_two_defaults()))
+        pooled = _message(lambda: project_video(frames, cfg))
+        planned = _message(lambda: plan_layout(cfg, patch))
+        built = _message(lambda: TokenSequence(cfg, patch))
+        budgeted = _message(lambda: video_budget(cfg, patch, stage_two_defaults()))
 
         slow_misfit = cfg.n_slow > 0 and bool(patch.rows % cfg.stride_h or patch.cols % cfg.stride_w)
         fast_misfit = cfg.n_fast > 0 and (cfg.fast_rows > patch.rows or cfg.fast_cols > patch.cols)
         raises = slow_misfit or fast_misfit
         assert (pooled is not None, planned is not None, budgeted is not None) == (raises,) * 3
-        assert pooled is planned is budgeted
+        assert pooled == planned == built == budgeted  # one error type and message
         if raises:
-            assert pooled is (InvalidOutputShape if fast_misfit else NonDivisibleStride)
+            assert pooled[0] is (InvalidOutputShape if fast_misfit else NonDivisibleStride)
             assert not frames[0]._pooled  # a misfit is found before anything pools
         else:
             assert plan_layout(cfg, patch) == project_video(frames, cfg)
