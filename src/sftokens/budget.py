@@ -8,7 +8,6 @@ round down and exclude separator tokens.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, replace
@@ -247,6 +246,8 @@ def sweep_csv(configs: Sequence[PathwayConfig], reports: Sequence[BudgetReport])
     """Render sweep results as CSV, one row per config; lists of unequal length raise."""
     if len(configs) != len(reports):
         raise ValueError(f"configs and reports differ in length: {len(configs)} != {len(reports)}")
+    import csv  # only CSV output needs it; keeps it out of import time
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))

@@ -17,8 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import fields, replace
-from importlib import resources
-from pathlib import Path
 
 from .budget import StageConfig, default_pathway_for_stage, stage_one_defaults, stage_two_defaults
 from .errors import ConfigError
@@ -53,8 +51,12 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     """
     doc: dict = {}
     if path is not None:
+        from pathlib import Path  # imported where used: plan and arrange run without a file
+
         file_path = Path(path)
         if not file_path.exists() and file_path.name in BUNDLED_CONFIGS:
+            from importlib import resources
+
             file_path = Path(str(resources.files("sftokens").joinpath("configs", file_path.name)))
         if not file_path.exists():
             raise ConfigError(f"config file not found: {path}")

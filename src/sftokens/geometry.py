@@ -13,7 +13,6 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -208,11 +207,18 @@ class SamplingPlan:
                                  ("target_fps", "target_fps", ValueError)):
             value = getattr(self, key)
             if type(value) not in (int, float):  # int and float skip the slower ABC check
+                import numbers  # only other types reach this; keeps it out of import time
+
                 if type(value) is bool or not isinstance(value, numbers.Real):
                     raise error(f"{name} must be a real number, got {value!r}")
-            if not 0 < value < math.inf:
+            try:
+                number = float(value)  # Fractions, numpy scalars count as floats
+            except OverflowError:  # an int or Fraction beyond the largest float
+                number = math.inf
+            # On the float, so a Fraction that rounds to 0.0 is refused too.
+            if not 0 < number < math.inf:
                 raise error(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, key, float(value))  # Fractions, numpy scalars count as floats
+            object.__setattr__(self, key, number)
         duration, target_fps = self.source_duration, self.target_fps
         store_counts(self, "max_frames")
         max_frames = self.max_frames

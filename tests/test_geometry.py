@@ -251,6 +251,17 @@ class TestSampleFrames:
         (np.float32(math.inf), 1.0, "duration must be positive and finite, got inf"),
         (10.0, 0, "target_fps must be positive and finite, got 0"),
         (10.0, -math.inf, "target_fps must be positive and finite, got -inf"),
+        # Beyond float range, or rounding to 0.0, as a float.
+        pytest.param(10**400, 1.0, f"duration must be positive and finite, got {10**400}",
+                     id="int-duration-beyond-floats"),
+        pytest.param(10, 10**400, f"target_fps must be positive and finite, got {10**400}",
+                     id="int-rate-beyond-floats"),
+        pytest.param(Fraction(10**400), 1.0,
+                     f"duration must be positive and finite, got {10**400}",
+                     id="fraction-duration-beyond-floats"),
+        pytest.param(Fraction(1, 10**400), 1.0,
+                     f"duration must be positive and finite, got 1/{10**400}",
+                     id="fraction-duration-below-floats"),
     ])
     def test_out_of_range_messages(self, duration, fps, shown):
         with pytest.raises(ValueError, match=f"^{re.escape(shown)}$") as info:

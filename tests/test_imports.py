@@ -1,5 +1,7 @@
-"""Import cost: planning runs without numpy; numpy-backed names load on use."""
+"""Import and process cost: planning runs without numpy; numpy-backed names and
+stdlib modules that only some commands need load on use."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sftokens
+from sftokens import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_LAYOUT = ROOT / "tests" / "data" / "gsf_miniature_layout.txt"
@@ -182,3 +185,85 @@ print("ok")
 def test_workers_start_at_the_first_split():
     done = run_python("-c", FIRST_SPLIT)
     assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
+
+
+# Runs each command through cli.main without the site module (no .pth file
+# preloads anything) and prints, after each, which watched modules are
+# loaded; the collector's state must be as it was before the import.
+LAZY_STDLIB = """
+import contextlib, gc, io, json, sys
+WATCHED = ("csv", "importlib.resources", "numbers", "pathlib")
+state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+from sftokens.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    loaded.append([name for name in WATCHED if name in sys.modules])
+assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_import_only_the_stdlib_they_use():
+    commands = [["plan"], ["arrange"], ["sweep"], ["arrange", "--config", "table4.cfg"]]
+    done = run_python("-S", "-c", LAZY_STDLIB, json.dumps(commands))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [], [], ["csv"], ["csv", "importlib.resources", "pathlib"],
+    ]
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+    for argv in (["plan"], MINIATURE, ["sweep", "--config", "table4.cfg"]):
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == state
+
+
+# Runs cli.entry for the given arguments, printing on stderr the freeze
+# count that main sees.
+ENTRY = """
+import gc, sys
+from sftokens import cli
+run = cli.main
+
+def main(argv=None):
+    print(gc.get_freeze_count(), file=sys.stderr)
+    return run(argv)
+
+cli.main = main
+sys.argv = ["sft", *sys.argv[1:]]
+cli.entry()
+"""
+
+
+def test_entry_freezes_before_main():
+    done = run_python("-c", ENTRY, *MINIATURE)
+    assert (done.returncode, done.stdout) == (0, GOLDEN_LAYOUT.read_text()), done.stderr
+    assert int(done.stderr) > 0
+
+
+# The benchmark's cli commands (bench/workloads.py, Cli.COMMANDS) and check.
+# Under -X dev -W error a warning, at shutdown too, ends up on stderr.
+PROCESS_COMMANDS = {
+    "plan": (["plan"], ""),
+    "plan-overflow": (["plan", "--set", "n_slow=128", "--set", "arrangement=ISF"],
+                      "finding: video tokens 28928 + allowance 512 exceed context 16384\n"),
+    "plan-stage1": (["plan", "--config", "table1_stage1.cfg", "--format", "text"], ""),
+    "sweep-table4": (["sweep", "--config", "table4.cfg"], ""),
+    "sweep-table5": (["sweep", "--config", "table5.cfg", "--format", "json"], ""),
+    "arrange": (["arrange"], ""),
+    "arrange-miniature": (MINIATURE, ""),
+    "check": (["check"], ""),
+}
+
+
+@pytest.mark.parametrize("kind", PROCESS_COMMANDS)
+def test_commands_run_clean_in_dev_mode(kind):
+    argv, stderr = PROCESS_COMMANDS[kind]
+    plain = run_python("-m", "sftokens", *argv)
+    dev = run_python("-X", "dev", "-W", "error", "-m", "sftokens", *argv)
+    assert (dev.returncode, dev.stdout) == (plain.returncode, plain.stdout)
+    assert (plain.stderr, dev.stderr) == (stderr, stderr)
