@@ -5,10 +5,11 @@ sampling with a uniform fallback, patch-aligned native-resolution resizes,
 slow/fast pooling of per-frame feature grids, token arrangement with
 separators, and context-window budget reports.
 
-Planning needs no numpy: ``geometry``, ``budget``, ``config``, the block
-layout (``plan_layout``) and ``sft plan``/``sweep``/``arrange`` never
-import it. Only the kernels, ``synth_features``, ``selfcheck``, the
-pathways' pooling and ``sft check`` load it, on first use.
+Planning needs neither numpy nor ``dataclasses``: ``geometry``, ``budget``,
+``config``, the block layout (``plan_layout``) and ``sft plan``/``sweep``/
+``arrange`` import neither. Only the kernels, ``synth_features``,
+``selfcheck``, the pathways' pooling and ``sft check`` load numpy, on first
+use; the records' ``dataclasses`` API loads that module on first call.
 """
 
 import importlib

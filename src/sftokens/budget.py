@@ -3,19 +3,19 @@
 Counts the visual tokens a pathway configuration produces on a given patch
 grid, reports whether they fit the stage's context window next to a text
 allowance, and validates whole stage configurations. Reported thousands
-round down and exclude separator tokens.
+round down and exclude separator tokens. ``StageConfig`` and
+``BudgetReport`` are ``geometry.Record``s.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .geometry import (
-    AreaThresholds, PatchGrid, Resolution, as_count, check_band, patch_grid, plan_resize,
-    store_counts,
+    AreaThresholds, PatchGrid, Record, Resolution, as_count, as_counts, check_band, patch_grid,
+    plan_resize, show,
 )
 from .projector import DEFAULT_VIDEO_CONFIG, PathwayConfig, token_counts
 
@@ -24,14 +24,14 @@ DEFAULT_TEXT_ALLOWANCE = 512
 STAGE_ONE = "I"
 STAGE_TWO = "II"
 VIDEO_KEYS = ("video_min_area", "video_max_area", "max_frames")
+_STAGE_COUNTS = ("context_length", "min_image_area", "max_image_area", "base_image_side", "patch")
 
 SWEEP_CSV_HEADER = (
     "n_slow,n_fast,n_total,arrangement,content_tokens,separators,rounded_k,fits_context"
 )
 
 
-@dataclass(frozen=True)
-class StageConfig:
+class StageConfig(Record):
     """Training-stage limits: context window, image band, optional video band.
 
     A stage that constructs is well formed. Each area band holds
@@ -42,48 +42,50 @@ class StageConfig:
     that names the key at fault.
     """
 
-    stage: str
-    context_length: int
-    min_image_area: int
-    max_image_area: int
-    base_image_side: int
-    video_min_area: int | None = None
-    video_max_area: int | None = None
-    max_frames: int | None = None
-    patch: int = 16
+    __slots__ = ("stage", "context_length", "min_image_area", "max_image_area", "base_image_side",
+                 "video_min_area", "video_max_area", "max_frames", "patch")
 
-    def __post_init__(self) -> None:
-        if self.stage not in (STAGE_ONE, STAGE_TWO):
-            raise ValueError(f"stage must be {STAGE_ONE!r} or {STAGE_TWO!r}, got {self.stage!r}")
-        store_counts(self, "context_length", "min_image_area", "max_image_area", "base_image_side",
-                     "patch")
-        set_keys = [name for name in VIDEO_KEYS if getattr(self, name) is not None]
-        store_counts(self, *set_keys)
-        if self.stage == STAGE_ONE and set_keys:
+    def __init__(self, stage: str, context_length: int, min_image_area: int, max_image_area: int,
+                 base_image_side: int, video_min_area: int | None = None,
+                 video_max_area: int | None = None, max_frames: int | None = None,
+                 patch: int = 16) -> None:
+        if stage not in (STAGE_ONE, STAGE_TWO):
+            raise ValueError(
+                f"stage must be {STAGE_ONE!r} or {STAGE_TWO!r}, got {show(stage, repr)}"
+            )
+        context_length, min_image_area, max_image_area, base_image_side, patch = as_counts(
+            _STAGE_COUNTS, context_length, min_image_area, max_image_area, base_image_side, patch)
+        video = [None if value is None else as_count(name, value)
+                 for name, value in zip(VIDEO_KEYS, (video_min_area, video_max_area, max_frames))]
+        set_keys = [name for name, value in zip(VIDEO_KEYS, video) if value is not None]
+        if stage == STAGE_ONE and set_keys:
             raise ValueError(f"stage I is image-only but sets {', '.join(set_keys)}")
         if 0 < len(set_keys) < len(VIDEO_KEYS):
-            shown = ", ".join(f"{name}={getattr(self, name)}" for name in VIDEO_KEYS)
+            shown = ", ".join(f"{key}={show(value)}" for key, value in zip(VIDEO_KEYS, video))
             raise ValueError(
                 f"video_min_area, video_max_area and max_frames must be set together, got {shown}"
             )
-        if self.context_length < 1:
+        if context_length < 1:
             raise ValueError("context_length must be positive")
-        if self.patch < 1:
+        if patch < 1:
             raise ValueError("patch must be positive")
-        if self.max_frames is not None and self.max_frames < 1:
-            raise ValueError(f"max_frames must be at least 1, got {self.max_frames}")
-        if self.base_image_side < self.patch or self.base_image_side % self.patch:
+        video_min_area, video_max_area, max_frames = video
+        if max_frames is not None and max_frames < 1:
+            raise ValueError(f"max_frames must be at least 1, got {show(max_frames)}")
+        if base_image_side < patch or base_image_side % patch:
             raise ValueError(
-                f"base_image_side {self.base_image_side} must be a positive multiple of "
-                f"patch {self.patch}"
+                f"base_image_side {show(base_image_side)} must be a positive multiple of "
+                f"patch {show(patch)}"
             )
-        bands = [("min_image_area", "max_image_area")]
-        if self.has_video:
-            bands.append(("video_min_area", "video_max_area"))
-        for low, high in bands:
-            check_band(low, getattr(self, low), high, getattr(self, high))
-            if getattr(self, high) < self.patch * self.patch:
-                raise ValueError(f"{high} too small for one patch")
+        bands = [("min_image_area", min_image_area, "max_image_area", max_image_area)]
+        if max_frames is not None:
+            bands.append(("video_min_area", video_min_area, "video_max_area", video_max_area))
+        for low_name, low, high_name, high in bands:
+            check_band(low_name, low, high_name, high)
+            if high < patch * patch:
+                raise ValueError(f"{high_name} too small for one patch")
+        self._set(stage, context_length, min_image_area, max_image_area, base_image_side,
+                  video_min_area, video_max_area, max_frames, patch)
 
     @property
     def has_video(self) -> bool:
@@ -125,8 +127,7 @@ def stage_two_defaults() -> StageConfig:
     )
 
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(Record):
     """Token counts for one input plus the context-fit verdict.
 
     ``total_tokens`` includes separators; ``rounded_k`` floors the content
@@ -134,24 +135,21 @@ class BudgetReport:
     plus ``text_allowance`` is at most ``context_length``.
     """
 
-    slow_tokens: int
-    fast_tokens: int
-    separator_tokens: int
-    text_allowance: int
-    context_length: int
+    __slots__ = ("slow_tokens", "fast_tokens", "separator_tokens", "text_allowance",
+                 "context_length")
 
-    def __post_init__(self) -> None:
-        allowance = self.text_allowance
+    def __init__(self, slow_tokens: int, fast_tokens: int, separator_tokens: int,
+                 text_allowance: int, context_length: int) -> None:
+        allowance = text_allowance
         if type(allowance) is not int or allowance < 0:
             try:
                 allowance = as_count("text_allowance", allowance)
             except ValueError:
                 allowance = -1
             if allowance < 0:
-                raise ValueError(
-                    f"text_allowance must be a non-negative integer, got {self.text_allowance!r}"
-                )
-            object.__setattr__(self, "text_allowance", allowance)
+                raise ValueError(f"text_allowance must be a non-negative integer, "
+                                 f"got {show(text_allowance, repr)}")
+        self._set(slow_tokens, fast_tokens, separator_tokens, allowance, context_length)
 
     @property
     def content_tokens(self) -> int:
@@ -277,8 +275,8 @@ def stage_video_grid(stage: StageConfig) -> PatchGrid:
 def default_pathway_for_stage(stage: StageConfig) -> PathwayConfig:
     """Deployment-default pathway sized to the stage's frame cap."""
     n_total = stage.max_frames or DEFAULT_VIDEO_CONFIG.n_total
-    return replace(DEFAULT_VIDEO_CONFIG, n_total=n_total,
-                   n_slow=min(DEFAULT_VIDEO_CONFIG.n_slow, n_total))
+    return DEFAULT_VIDEO_CONFIG._replace(n_total=n_total,
+                                         n_slow=min(DEFAULT_VIDEO_CONFIG.n_slow, n_total))
 
 
 def validate_stage(

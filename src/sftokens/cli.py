@@ -54,19 +54,22 @@ _OPTIONS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sft", description="Video token budget planning and self-checks.")
     sub = parser.add_subparsers(dest="command")
-    for name, handler, doc, options in (
+    # Each command's --set keys: all build the stage, pathway and rows; arrange budgets nothing.
+    built = cfgmod.STAGE_KEYS | cfgmod.PATHWAY_KEYS | {"sweep", "sweep_grid"}
+    for name, handler, doc, options, keys in (
         ("plan", _cmd_plan, "compute one token budget and report context fit",
-         ("--config", "--set", "--format", "--out")),
+         ("--config", "--set", "--format", "--out"), built | {"text_allowance"}),
         ("sweep", _cmd_sweep, "compute budgets for every config row",
-         ("--config", "--set", "--format", "--out")),
+         ("--config", "--set", "--format", "--out"), built | {"text_allowance"}),
         ("arrange", _cmd_arrange, "emit the token layout for one config, planned without features",
-         ("--config", "--set", "--out")),
-        ("check", _cmd_check, "run kernel oracles and golden sweep checks", ("--seed", "--out")),
+         ("--config", "--set", "--out"), built - {"context_length"} | {"grid_rows", "grid_cols"}),
+        ("check", _cmd_check, "run kernel oracles and golden sweep checks",
+         ("--seed", "--out"), ()),
     ):
         p = sub.add_parser(name, help=doc)
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, keys=keys)
     return parser
 
 
@@ -104,8 +107,12 @@ def _load(args) -> tuple:
     """Load the document and build its stage, base pathway and sweep rows.
 
     Every command builds all of them, so a bad value fails the same in each.
+    A ``--set`` key the command does not read is refused; a config file's are not.
     """
     doc = cfgmod.load_config(args.config, args.overrides)
+    for key in (item.partition("=")[0] for item in args.overrides):
+        if key not in args.keys:
+            raise ConfigError(f"{args.command} does not read {key}")
     stage = cfgmod.stage_from_config(doc)
     pathway = cfgmod.pathway_from_config(doc, stage)
     configs, labels = cfgmod.sweep_configs(doc, pathway)

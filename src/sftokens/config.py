@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import fields, replace
 
 from .budget import StageConfig, default_pathway_for_stage, stage_one_defaults, stage_two_defaults
 from .errors import ConfigError
 from .projector import PathwayConfig
 
-STAGE_KEYS = {field.name for field in fields(StageConfig)}
-PATHWAY_KEYS = {field.name for field in fields(PathwayConfig)}
+STAGE_KEYS = set(StageConfig._fields)
+PATHWAY_KEYS = set(PathwayConfig._fields)
 EXTRA_KEYS = {"text_allowance", "sweep", "sweep_grid", "grid_rows", "grid_cols"}
 KNOWN_KEYS = STAGE_KEYS | PATHWAY_KEYS | EXTRA_KEYS
 
@@ -102,7 +101,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 
 def _replace(base, doc: dict, keys: set[str]):
     try:
-        return replace(base, **{key: doc[key] for key in keys if key in doc})
+        return base._replace(**{key: doc[key] for key in keys if key in doc})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

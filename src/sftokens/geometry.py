@@ -1,4 +1,4 @@
-"""Frame sampling and native-resolution resize planning.
+"""Frame sampling and native-resolution resize planning, and the record base.
 
 Pure arithmetic only: nothing here touches pixels. Given an input
 resolution and a pair of area thresholds, the planner picks a scale factor
@@ -7,6 +7,10 @@ target dimensions down to multiples of the encoder patch size. Frame
 sampling emits fixed-rate timestamps and falls back to uniform spacing when
 a clip is too long for the frame cap.
 
+Every planning record, here and in ``projector`` and ``budget``, is a
+``Record``: immutable and slotted, checked in its constructor, and built
+without importing ``dataclasses``, whose functions still work on it.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -14,12 +18,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .errors import DegenerateResize, InvalidDuration, NonDivisibleStride
 
 FPS_MODE = "fps"
 UNIFORM_FALLBACK_MODE = "uniform-fallback"
+
+
+def show(value, form=format) -> str:
+    """``form(value)`` for a message, or a stand-in for an int too long to print."""
+    try:  # formatting an int over the digit limit (4,300 by default) raises ValueError
+        return form(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{type(value).__name__} too long to print>"
 
 
 def as_count(name: str, value) -> int:
@@ -32,29 +43,92 @@ def as_count(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def as_counts(names: tuple[str, str], a, b) -> tuple[int, int]:
-    """Two sizes through ``as_count``, the error naming the first that is not an integer."""
-    if type(a) is not int or type(b) is not int:
-        a, b = as_count(names[0], a), as_count(names[1], b)
-    return a, b
+def as_counts(names: tuple[str, ...], *values) -> tuple[int, ...]:
+    """Sizes through ``as_count``, the error naming the first that is not an integer."""
+    for value in values:
+        if type(value) is not int:
+            return tuple(map(as_count, names, values))
+    return values
 
 
 def check_strides_divide(stride_h: int, stride_w: int, rows: int, cols: int) -> None:
     """Raise ``NonDivisibleStride`` unless the strides divide a ``rows x cols`` grid."""
     if rows % stride_h or cols % stride_w:
-        raise NonDivisibleStride(f"strides {stride_h}x{stride_w} do not divide grid {rows}x{cols}")
+        raise NonDivisibleStride(f"strides {show(stride_h)}x{show(stride_w)} do not divide grid "
+                                 f"{show(rows)}x{show(cols)}")
 
 
-def store_counts(record, *names: str) -> None:
-    """Store each named field of frozen ``record`` as ``as_count`` of itself, in order."""
-    for name in names:
-        value = getattr(record, name)
-        if type(value) is not int:
-            object.__setattr__(record, name, as_count(name, value))
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, genuine ``dataclasses.Field``s built on
+    first read, so the ``dataclasses`` functions work on records and load it only then."""
+
+    def __get__(self, record, cls):
+        from dataclasses import field, make_dataclass
+
+        specs = [(name, object, field(init=i < cls._init, repr=name in cls._shown,
+                                      compare=name in cls._shown))
+                 for i, name in enumerate(cls._fields)]
+        cls.__dataclass_fields__ = fields = make_dataclass(cls.__name__, specs).__dataclass_fields__
+        return fields
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Record:
+    """Base of the planning records: immutable, slotted, equal by type and fields.
+
+    A record's fields are its ``__slots__`` (a slot named ``_...`` is a
+    cache). Its constructor takes the first fields, checks them and derives
+    the rest. ``repr``, equality and hashing read ``_shown``, all fields by
+    default. ``_replace``, ``pickle`` and ``copy`` rebuild through the
+    constructor, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._init = cls.__init__.__code__.co_argcount - 1
+        cls._shown = vars(cls).get("_shown", cls._fields)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls._fields)  # slot stores
+        cls.__dataclass_fields__ = _DataclassFields()
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self._shown) == other._values(self._shown)
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values(self._shown)))
+
+    def __reduce__(self):
+        return type(self), self._values(self._fields[:self._init])
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, rebuilt through the constructor."""
+        for name in self._fields[self._init:]:
+            if name in changes:
+                raise ValueError(f"field {name} is declared with init=False, "
+                                 "it cannot be specified with replace()")
+        init = self._fields[:self._init]
+        return type(self)(**dict(zip(init, self._values(init)), **changes))
+
+
+class Resolution(Record):
     """A pixel resolution, height by width.
 
     Attributes:
@@ -62,21 +136,20 @@ class Resolution:
         width: Pixel width, at least 1.
     """
 
-    height: int
-    width: int
+    __slots__ = ("height", "width")
 
-    def __post_init__(self) -> None:
-        store_counts(self, "height", "width")
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"resolution must be positive, got {self.height}x{self.width}")
+    def __init__(self, height: int, width: int) -> None:
+        height, width = as_counts(("height", "width"), height, width)
+        if height < 1 or width < 1:
+            raise ValueError(f"resolution must be positive, got {show(height)}x{show(width)}")
+        self._set(height, width)
 
     @property
     def area(self) -> int:
         return self.height * self.width
 
 
-@dataclass(frozen=True)
-class AreaThresholds:
+class AreaThresholds(Record):
     """Area band a resized input must land in.
 
     Attributes:
@@ -84,24 +157,23 @@ class AreaThresholds:
         max_area: Upper bound in pixels squared, strictly greater than min_area.
     """
 
-    min_area: int
-    max_area: int
+    __slots__ = ("min_area", "max_area")
 
-    def __post_init__(self) -> None:
-        store_counts(self, "min_area", "max_area")
-        check_band("min_area", self.min_area, "max_area", self.max_area)
+    def __init__(self, min_area: int, max_area: int) -> None:
+        min_area, max_area = as_counts(("min_area", "max_area"), min_area, max_area)
+        check_band("min_area", min_area, "max_area", max_area)
+        self._set(min_area, max_area)
 
 
 def check_band(low_name: str, low: int, high_name: str, high: int) -> None:
     """Raise a ``ValueError`` naming the bound at fault unless ``0 <= low < high``."""
     if low < 0:
-        raise ValueError(f"{low_name} must be non-negative, got {low}")
+        raise ValueError(f"{low_name} must be non-negative, got {show(low)}")
     if low >= high:
-        raise ValueError(f"{low_name} must be below {high_name}, got [{low}, {high}]")
+        raise ValueError(f"{low_name} must be below {high_name}, got [{show(low)}, {show(high)}]")
 
 
-@dataclass(frozen=True)
-class ResizePlan:
+class ResizePlan(Record):
     """Planned patch-aligned resize of ``source`` into the area band.
 
     Both target dimensions are ``floor(dim * scale / patch) * patch``,
@@ -124,51 +196,59 @@ class ResizePlan:
             input is too small relative to the patch size.
     """
 
-    source: Resolution
-    thresholds: AreaThresholds
-    patch: int
-    scale: float = field(init=False)
-    target: Resolution = field(init=False)
-    below_min: bool = field(init=False)
+    __slots__ = ("source", "thresholds", "patch", "scale", "target", "below_min")
 
-    def __post_init__(self) -> None:
-        store_counts(self, "patch")
-        res, thresholds, patch = self.source, self.thresholds, self.patch
+    def __init__(self, source: Resolution, thresholds: AreaThresholds, patch: int) -> None:
+        patch = as_count("patch", patch)
         if patch < 1:
-            raise ValueError(f"patch must be positive, got {patch}")
-        area = res.area
+            raise ValueError(f"patch must be positive, got {show(patch)}")
+        area = source.area
         clamped = min(max(area, thresholds.min_area), thresholds.max_area)
-        target_h = _scaled_floor_multiple(res.height, clamped, area, patch)
-        target_w = _scaled_floor_multiple(res.width, clamped, area, patch)
+        target_h = _scaled_floor_multiple(source.height, clamped, area, patch)
+        target_w = _scaled_floor_multiple(source.width, clamped, area, patch)
         if target_h == 0 or target_w == 0:
             raise DegenerateResize(
-                f"{res.height}x{res.width} with patch {patch} floors to "
-                f"{target_h}x{target_w}; input too small"
+                f"{show(source.height)}x{show(source.width)} with patch {show(patch)} floors to "
+                f"{show(target_h)}x{show(target_w)}; input too small"
             )
-        object.__setattr__(self, "scale", compute_scale(res, thresholds))
-        object.__setattr__(self, "target", Resolution(target_h, target_w))
-        object.__setattr__(self, "below_min", target_h * target_w < thresholds.min_area)
+        self._set(source, thresholds, patch, compute_scale(source, thresholds),
+                  Resolution(target_h, target_w), target_h * target_w < thresholds.min_area)
 
 
-@dataclass(frozen=True)
-class PatchGrid:
+class PatchGrid(Record):
     """The rows-by-columns lattice of visual tokens one frame yields."""
 
-    rows: int
-    cols: int
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        store_counts(self, "rows", "cols")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be positive, got {self.rows}x{self.cols}")
+    def __init__(self, rows: int, cols: int) -> None:
+        rows, cols = as_counts(("rows", "cols"), rows, cols)
+        if rows < 1 or cols < 1:
+            raise ValueError(f"grid must be positive, got {show(rows)}x{show(cols)}")
+        self._set(rows, cols)
 
     @property
     def tokens(self) -> int:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+def _positive_real(name: str, value, error: type[ValueError]) -> float:
+    # A real number's float, refused unless it is positive and finite.
+    if type(value) not in (int, float):  # int and float skip the slower ABC check
+        import numbers  # only other types reach this; keeps it out of import time
+
+        if type(value) is bool or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)  # Fractions, numpy scalars count as floats
+    except OverflowError:  # an int or Fraction beyond the largest float
+        number = math.inf
+    # On the float, so a Fraction that rounds to 0.0 is refused too.
+    if not 0 < number < math.inf:
+        raise error(f"{name} must be positive and finite, got {show(value)}")
+    return number
+
+
+class SamplingPlan(Record):
     """Planned frame timestamps for a clip of ``source_duration`` seconds.
 
     Fixed-rate mode emits ``k / target_fps`` for ``k = 0 .. ceil(duration *
@@ -196,34 +276,14 @@ class SamplingPlan:
         InvalidDuration: If ``source_duration`` is not a positive, finite real number.
     """
 
-    source_duration: float
-    target_fps: float
-    max_frames: int
-    mode: str = field(init=False)
-    timestamps: tuple[float, ...] = field(init=False)
+    __slots__ = ("source_duration", "target_fps", "max_frames", "mode", "timestamps")
 
-    def __post_init__(self) -> None:
-        for key, name, error in (("source_duration", "duration", InvalidDuration),
-                                 ("target_fps", "target_fps", ValueError)):
-            value = getattr(self, key)
-            if type(value) not in (int, float):  # int and float skip the slower ABC check
-                import numbers  # only other types reach this; keeps it out of import time
-
-                if type(value) is bool or not isinstance(value, numbers.Real):
-                    raise error(f"{name} must be a real number, got {value!r}")
-            try:
-                number = float(value)  # Fractions, numpy scalars count as floats
-            except OverflowError:  # an int or Fraction beyond the largest float
-                number = math.inf
-            # On the float, so a Fraction that rounds to 0.0 is refused too.
-            if not 0 < number < math.inf:
-                raise error(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, key, number)
-        duration, target_fps = self.source_duration, self.target_fps
-        store_counts(self, "max_frames")
-        max_frames = self.max_frames
+    def __init__(self, source_duration: float, target_fps: float, max_frames: int) -> None:
+        duration = _positive_real("duration", source_duration, InvalidDuration)
+        target_fps = _positive_real("target_fps", target_fps, ValueError)
+        max_frames = as_count("max_frames", max_frames)
         if max_frames < 1:
-            raise ValueError(f"max_frames must be at least 1, got {max_frames}")
+            raise ValueError(f"max_frames must be at least 1, got {show(max_frames)}")
 
         fps_count = _fps_count(duration, target_fps)
         if fps_count > max_frames:
@@ -239,8 +299,7 @@ class SamplingPlan:
                 # before the duration.
                 timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
             mode = FPS_MODE
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "timestamps", timestamps)
+        self._set(duration, target_fps, max_frames, mode, timestamps)
 
 
 def compute_scale(res: Resolution, thresholds: AreaThresholds) -> float:

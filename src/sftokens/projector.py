@@ -13,19 +13,18 @@ builds its blocks (one per pooled frame or separator) on first read through
 ``arrange_gsf`` or ``arrange_isf``; ``layout_lines`` alone spells out a
 frame's tokens, its grid cells in row-major order. ``project_video`` checks
 its frames, plans their sequence and pools the frames its blocks name.
-Equal inputs give equal sequences. Nothing here needs numpy until a pathway
-pools, so the budget can import this module without it.
+Equal inputs give equal sequences. ``PathwayConfig`` and ``TokenSequence``
+are ``geometry.Record``s. Nothing here needs numpy until a pathway pools, so
+the budget can import this module without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidCount, InvalidOutputShape
-from .geometry import PatchGrid, as_counts, check_strides_divide, store_counts
+from .geometry import PatchGrid, Record, as_counts, check_strides_divide, show
 
 if TYPE_CHECKING:
     from .kernels import FrameGrid
@@ -38,8 +37,7 @@ class Arrangement(str, Enum):
     ISF = "ISF"
 
 
-@dataclass(frozen=True)
-class PathwayConfig:
+class PathwayConfig(Record):
     """Shape of the two-stream projector.
 
     Attributes:
@@ -52,27 +50,25 @@ class PathwayConfig:
             complement of the slow selection.
     """
 
-    n_total: int
-    n_slow: int
-    stride_h: int = 2
-    stride_w: int = 2
-    fast_rows: int = 4
-    fast_cols: int = 4
-    arrangement: Arrangement = Arrangement.GSF
+    __slots__ = ("n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols",
+                 "arrangement")
 
-    def __post_init__(self) -> None:
-        store_counts(self, "n_total", "n_slow", "stride_h", "stride_w", "fast_rows", "fast_cols")
-        if self.n_total < 1:
-            raise ValueError(f"n_total must be positive, got {self.n_total}")
-        if not 0 <= self.n_slow <= self.n_total:
-            raise ValueError(f"n_slow must be in [0, {self.n_total}], got {self.n_slow}")
-        if self.stride_h < 1 or self.stride_w < 1:
+    def __init__(self, n_total: int, n_slow: int, stride_h: int = 2, stride_w: int = 2,
+                 fast_rows: int = 4, fast_cols: int = 4,
+                 arrangement: Arrangement = Arrangement.GSF) -> None:
+        counts = as_counts(self._fields, n_total, n_slow, stride_h, stride_w, fast_rows, fast_cols)
+        n_total, n_slow, stride_h, stride_w, fast_rows, fast_cols = counts
+        if n_total < 1:
+            raise ValueError(f"n_total must be positive, got {show(n_total)}")
+        if not 0 <= n_slow <= n_total:
+            raise ValueError(f"n_slow must be in [0, {show(n_total)}], got {show(n_slow)}")
+        if stride_h < 1 or stride_w < 1:
             raise ValueError("strides must be positive")
-        if self.fast_rows < 1 or self.fast_cols < 1:
+        if fast_rows < 1 or fast_cols < 1:
             raise ValueError("fast grid must be positive")
-        if self.arrangement not in ("GSF", "ISF"):
-            raise ValueError(f"arrangement must be 'GSF' or 'ISF', got {self.arrangement!r}")
-        object.__setattr__(self, "arrangement", Arrangement(self.arrangement))
+        if arrangement not in ("GSF", "ISF"):
+            raise ValueError(f"arrangement must be 'GSF' or 'ISF', got {show(arrangement, repr)}")
+        self._set(*counts, Arrangement(arrangement))
 
     @property
     def n_fast(self) -> int:
@@ -102,27 +98,25 @@ class TokenBlock(NamedTuple):
 SEPARATOR = TokenBlock("separator", None, 1, 1)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
+class TokenSequence(Record):
     """The tokens ``config`` lays out on frames of ``grid``; ``blocks`` is built on first read."""
 
-    config: PathwayConfig
-    grid: PatchGrid
-    content_count: int = field(init=False, repr=False, compare=False)
-    separator_count: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("config", "grid", "content_count", "separator_count", "_block_cache")
+    _shown = ("config", "grid")
 
-    def __post_init__(self) -> None:
-        slow, fast, separators = token_counts(self.config, self.grid)
-        object.__setattr__(self, "content_count", slow + fast)
-        object.__setattr__(self, "separator_count", separators)
+    def __init__(self, config: PathwayConfig, grid: PatchGrid) -> None:
+        slow, fast, separators = token_counts(config, grid)
+        self._set(config, grid, slow + fast, separators)
 
     def __len__(self) -> int:
         return self.content_count + self.separator_count
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[TokenBlock, ...]:
-        arrange = arrange_gsf if self.config.arrangement is Arrangement.GSF else arrange_isf
-        return arrange(self.config, self.grid)
+        if not hasattr(self, "_block_cache"):
+            arrange = arrange_gsf if self.config.arrangement is Arrangement.GSF else arrange_isf
+            object.__setattr__(self, "_block_cache", arrange(self.config, self.grid))
+        return self._block_cache
 
     def layout_lines(self) -> list[str]:
         """Render one line per token: ``kind pathway frame row col``."""
@@ -151,7 +145,7 @@ def select_slow_frames(n_total: int, n_slow: int) -> list[int]:
     """
     n_total, n_slow = as_counts(("n_total", "n_slow"), n_total, n_slow)
     if n_slow < 0 or n_slow > n_total:
-        raise InvalidCount(f"n_slow must be in [0, {n_total}], got {n_slow}")
+        raise InvalidCount(f"n_slow must be in [0, {show(n_total)}], got {show(n_slow)}")
     return [i * n_total // n_slow for i in range(n_slow)]
 
 

@@ -516,6 +516,22 @@ class TestPlumbing:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
 
+    @pytest.mark.parametrize("command, key", [
+        ("plan", "grid_rows"),
+        ("sweep", "grid_rows"),
+        ("arrange", "context_length"),
+        ("arrange", "text_allowance"),
+    ])
+    def test_a_set_key_the_command_does_not_read_exits_1(self, tmp_path, capsys, command, key):
+        # These exited 0 and ignored the key. A config file is shared by every
+        # command, so the same key in a file is still accepted.
+        assert run_cli(capsys, command, "--set", f"{key}=7") == (
+            1, "", f"error: {command} does not read {key}\n"
+        )
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(json.dumps({key: 7}))
+        assert run_cli(capsys, command, "--config", str(cfg)) == run_cli(capsys, command)
+
     def test_overrides_parse_json_scalars(self):
         doc = load_config(None, ["n_slow=16", "arrangement=ISF"])
         assert doc["n_slow"] == 16

@@ -249,7 +249,9 @@ class TestSampleFrames:
         (Fraction(-1, 2), 1.0, "duration must be positive and finite, got -1/2"),
         (math.nan, 1.0, "duration must be positive and finite, got nan"),
         (np.float32(math.inf), 1.0, "duration must be positive and finite, got inf"),
-        (10.0, 0, "target_fps must be positive and finite, got 0"),
+        # Formatted as an f-string formats it, not as str() shows it (-0.1).
+        (np.float32(-0.1), 1.0, "duration must be positive and finite, got -0.10000000149011612"),
+        (10.0, 0,"target_fps must be positive and finite, got 0"),
         (10.0, -math.inf, "target_fps must be positive and finite, got -inf"),
         # Beyond float range, or rounding to 0.0, as a float.
         pytest.param(10**400, 1.0, f"duration must be positive and finite, got {10**400}",

@@ -192,7 +192,7 @@ def test_workers_start_at_the_first_split():
 # loaded; the collector's state must be as it was before the import.
 LAZY_STDLIB = """
 import contextlib, gc, io, json, sys
-WATCHED = ("csv", "importlib.resources", "numbers", "pathlib")
+WATCHED = ("csv", "dataclasses", "importlib.resources", "inspect", "numbers", "pathlib")
 state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
 from sftokens.cli import main
 loaded = []
@@ -212,6 +212,25 @@ def test_commands_import_only_the_stdlib_they_use():
     assert json.loads(done.stdout) == [
         [], [], ["csv"], ["csv", "importlib.resources", "pathlib"],
     ]
+
+
+# A bare import: the planning records are built without dataclasses, and the
+# dataclasses functions load it only when first called on a record.
+BARE_IMPORT = """
+import sys
+import sftokens
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, sys.modules
+import dataclasses
+grid = dataclasses.replace(sftokens.PatchGrid(2, 3), cols=4)
+print(grid, [f.name for f in dataclasses.fields(grid)])
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    done = run_python("-S", "-c", BARE_IMPORT)
+    assert (done.returncode, done.stdout) == (0, "PatchGrid(rows=2, cols=4) ['rows', 'cols']\n"), (
+        done.stderr
+    )
 
 
 def test_main_leaves_the_collector_as_it_found_it(capsys):
