@@ -44,7 +44,10 @@ of one. A stack's input stays under ``_STACK_BYTES`` (256 KiB): small
 frames are dominated by numpy's fixed per-call cost, while large ones run
 slower out of cache, so a frame over 128 KiB, such as an encoder-width
 frame at C=1024, pools alone, and a stack of one is the grid's own array,
-neither copied nor widened. Strided sums of a stack of one huge page or
+neither copied nor widened. A stack reduces its adaptive column bins in one
+``np.add.reduceat``; a stack of one adds each bin's columns, in the same
+order, as whole channel vectors, since ``reduceat`` adds one value at a
+time a row of channels apart. Strided sums of a stack of one huge page or
 more, such as an encoder-width frame, go where the frame went, into a
 block; smaller stacks' sums, and adaptive sums, stay on the heap. A
 stack's results are checked finite together before any is kept; each is a
@@ -85,7 +88,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidOutputShape, NonDivisibleStride
-from .geometry import PatchGrid, as_count, as_counts, check_strides_divide
+from .geometry import PatchGrid, as_count, as_counts, check_strides_divide, show
 
 _NATIVE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -300,7 +303,7 @@ def _wrap(arr: np.ndarray) -> FrameGrid:
 def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, int]:
     stride_h, stride_w = as_counts(("stride_h", "stride_w"), stride_h, stride_w)
     if stride_h < 1 or stride_w < 1:
-        raise NonDivisibleStride(f"strides must be positive, got {stride_h}x{stride_w}")
+        raise NonDivisibleStride(f"strides must be positive, got {show(stride_h)}x{show(stride_w)}")
     check_strides_divide(stride_h, stride_w, grid.rows, grid.cols)
     return stride_h, stride_w
 
@@ -308,10 +311,10 @@ def _check_strides(grid: FrameGrid, stride_h: int, stride_w: int) -> tuple[int, 
 def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int, int]:
     out_rows, out_cols = as_counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
-        raise InvalidOutputShape(f"output must be positive, got {out_rows}x{out_cols}")
+        raise InvalidOutputShape(f"output must be positive, got {show(out_rows)}x{show(out_cols)}")
     if out_rows > grid.rows or out_cols > grid.cols:
         raise InvalidOutputShape(
-            f"output {out_rows}x{out_cols} exceeds input {grid.rows}x{grid.cols}"
+            f"output {show(out_rows)}x{show(out_cols)} exceeds input {grid.rows}x{grid.cols}"
         )
     return out_rows, out_cols
 
@@ -319,7 +322,7 @@ def _check_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> tuple[int,
 def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
     out_rows, out_cols = as_counts(("out_rows", "out_cols"), out_rows, out_cols)
     if out_rows < 1 or out_cols < 1:
-        raise ValueError(f"output must be positive, got {out_rows}x{out_cols}")
+        raise ValueError(f"output must be positive, got {show(out_rows)}x{show(out_cols)}")
     return out_rows, out_cols
 
 
@@ -433,15 +436,25 @@ def _adaptive_sums(v: np.ndarray, frames: int, out_rows: int, out_cols: int) -> 
     row_edges, row_starts, col_starts, counts = _adaptive_bins(
         rows, cols // frames, out_rows, out_cols, frames
     )
-    # reduceat adds each row bin's first row to the pairwise sum of the
-    # rest. Along rows that runs element by element down strided columns;
-    # here every step adds whole contiguous rows, widening float32 as it
-    # goes. The column bins then reduce the much smaller row sums.
-    row_sums = np.empty((out_rows, cols, channels))
-    for i in range(out_rows):
-        _pairwise_sum(v[row_edges[i] + 1:row_edges[i + 1]], row_sums[i])
-    row_sums += v[row_starts]
-    sums = np.add.reduceat(row_sums, col_starts, axis=1)
+    # reduceat adds each bin's first row to the pairwise sum of the rest,
+    # one output value at a time, down strided columns; here every step
+    # adds whole contiguous rows, widening float32 as it goes.
+    if frames > 1:  # a stack's column bins reduce in one call
+        row_sums = np.empty((out_rows, cols, channels))
+        for i in range(out_rows):
+            _pairwise_sum(v[row_edges[i] + 1:row_edges[i + 1]], row_sums[i])
+        row_sums += v[row_starts]
+        sums = np.add.reduceat(row_sums, col_starts, axis=1)
+    else:  # a lone frame's column bins add as channel vectors, in reduceat's order
+        col_edges = (*col_starts.tolist(), cols)
+        sums = np.empty((out_rows, out_cols, channels))
+        row = np.empty((cols, channels))  # one row bin's sums
+        for i in range(out_rows):
+            _pairwise_sum(v[row_edges[i] + 1:row_edges[i + 1]], row)
+            row += v[row_edges[i]]
+            for j in range(out_cols):
+                _pairwise_sum(row[col_edges[j] + 1:col_edges[j + 1]], sums[i, j])
+                sums[i, j] += row[col_edges[j]]
     sums /= counts
     return sums
 
@@ -453,9 +466,10 @@ def avg_pool_adaptive(grid: FrameGrid, out_rows: int, out_cols: int) -> FrameGri
     [floor(i*n/out), floor((i+1)*n/out)); the bins tile the axis exactly,
     so pooling to the input's own shape is the identity. Sums accumulate
     in float64, in the order of ``np.add.reduceat`` along rows and then
-    columns, so results are bit-identical to that form. As with
-    ``avg_pool_strided``, the grid pools as a stack of one, in its own
-    dtype, and a repeat call returns the kept result.
+    columns, so results are bit-identical to that form; each add here
+    takes a whole row or channel vector, where ``reduceat`` adds one value
+    at a time. As with ``avg_pool_strided``, the grid pools as a stack of
+    one, in its own dtype, and a repeat call returns the kept result.
 
     Raises:
         InvalidOutputShape: If the target exceeds the input dimensions.
@@ -571,9 +585,9 @@ def synth_features(frame_index: int, grid: PatchGrid, channels: int) -> FrameGri
     """
     frame_index, channels = as_count("frame_index", frame_index), as_count("channels", channels)
     if frame_index < 0:
-        raise ValueError(f"frame_index must be non-negative, got {frame_index}")
+        raise ValueError(f"frame_index must be non-negative, got {show(frame_index)}")
     if channels < 1:
-        raise ValueError(f"channels must be positive, got {channels}")
+        raise ValueError(f"channels must be positive, got {show(channels)}")
     r = np.arange(grid.rows, dtype=np.uint64)[:, np.newaxis, np.newaxis]
     c = np.arange(grid.cols, dtype=np.uint64)[np.newaxis, :, np.newaxis]
     k = np.arange(channels, dtype=np.uint64)[np.newaxis, np.newaxis, :]

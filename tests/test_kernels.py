@@ -528,13 +528,22 @@ class TestAdaptivePooling:
         assert np.allclose(out.values[:, 0, 0], row_means, atol=1e-12)
 
     def test_tall_bins_match_reduceat(self):
-        # Bins of 9 to 300 rows take the eight-lane and the split branches
-        # of the pairwise order; exponents far apart make any reordering show.
+        # Bins of 9 to 300 rows or columns take the eight-lane and the split
+        # branches of the pairwise order, along rows and, in a lone frame's
+        # column bins, along columns; exponents far apart make any
+        # reordering show. The float32 inputs are encoder-width frames.
         rng = np.random.default_rng(12)
-        v = rng.standard_normal((300, 140, 2)) * 10.0 ** rng.integers(-12, 12, (300, 140, 2))
-        for out_r, out_c in ((1, 1), (2, 3), (30, 15), (7, 140)):
-            got = avg_pool_adaptive(FrameGrid(v), out_r, out_c).values
-            assert np.array_equal(got, _adaptive_by_reduceat(v, out_r, out_c))
+        for shape, dtype, targets in (
+            ((300, 140, 2), np.float64, ((1, 1), (2, 3), (30, 15), (7, 140))),
+            ((30, 30, 1024), np.float32, ((4, 4),)),
+            ((22, 40, 1024), np.float32, ((4, 4),)),
+            ((3, 300, 1024), np.float32, ((1, 1), (2, 2), (3, 20))),
+        ):
+            v = (rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)).astype(dtype)
+            for out_r, out_c in targets:
+                got = avg_pool_adaptive(FrameGrid(v), out_r, out_c).values
+                want = _adaptive_by_reduceat(v.astype(np.float64), out_r, out_c)
+                assert got.tobytes() == want.tobytes()
 
     def test_oversized_target_raises(self):
         g = FrameGrid(np.zeros((4, 4)))
@@ -542,6 +551,39 @@ class TestAdaptivePooling:
             avg_pool_adaptive(g, 5, 4)
         with pytest.raises(InvalidOutputShape):
             avg_pool_adaptive(g, 0, 4)
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: avg_pool_adaptive(g, HUGE, 1), InvalidOutputShape,
+     "output <int too long to print>x1 exceeds input 4x4"),
+    (lambda g: avg_pool_adaptive(g, -HUGE, 1), InvalidOutputShape,
+     "output must be positive, got -<int too long to print>x1"),
+    (lambda g: avg_pool_strided(g, -HUGE, 1), NonDivisibleStride,
+     "strides must be positive, got -<int too long to print>x1"),
+    (lambda g: bilinear_resample(g, -HUGE, 1), ValueError,
+     "output must be positive, got -<int too long to print>x1"),
+    (lambda g: synth_features(-HUGE, PatchGrid(2, 2), 1), ValueError,
+     "frame_index must be non-negative, got -<int too long to print>"),
+    (lambda g: synth_features(0, PatchGrid(2, 2), -HUGE), ValueError,
+     "channels must be positive, got -<int too long to print>"),
+    (lambda g: naive_avg_pool_adaptive(g, -HUGE, 1), InvalidOutputShape,
+     "output must be positive, got -<int too long to print>x1"),
+    (lambda g: avg_pool_adaptive(g, 5, 4), InvalidOutputShape, "output 5x4 exceeds input 4x4"),
+    (lambda g: avg_pool_strided(g, 0, 2), NonDivisibleStride, "strides must be positive, got 0x2"),
+    (lambda g: synth_features(-3, PatchGrid(2, 2), 1), ValueError,
+     "frame_index must be non-negative, got -3"),
+], ids=["adaptive-huge", "adaptive-negative", "strided", "bilinear", "synth-frame",
+        "synth-channels", "naive-adaptive", "adaptive-plain", "strided-plain", "synth-plain"])
+def test_kernel_size_checks_name_their_error(call, error, message):
+    # str() of an int over 4,300 digits raises ValueError, which would
+    # escape from building the message instead of the named error; values
+    # that print keep their messages.
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(FrameGrid(np.zeros((4, 4, 2))))
+    assert type(info.value) is error
 
 
 class TestBilinear:
