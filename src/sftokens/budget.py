@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Sequence
 
 from .geometry import (
     AreaThresholds, PatchGrid, Record, Resolution, as_count, as_counts, check_band, patch_grid,

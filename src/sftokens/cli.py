@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _NonNegative(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 # Each option's settings; a command registers only the options it reads.
 _OPTIONS = {
     "--config": {"metavar": "PATH", "help": "config file (path or bundled name)"},
@@ -47,7 +54,8 @@ _OPTIONS = {
               "help": "override a config key (repeatable)"},
     "--format": {"choices": ("json", "csv", "text"), "help": "output format"},
     "--out": {"metavar": "PATH", "help": "write output to a file instead of stdout"},
-    "--seed": {"type": int, "default": 42, "help": "seed for the self-check inputs"},
+    "--seed": {"type": int, "action": _NonNegative, "default": 42,
+               "help": "seed for the self-check inputs"},
 }
 
 

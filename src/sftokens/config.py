@@ -42,11 +42,12 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     fall back to plain strings.
 
     Raises:
-        ConfigError: On missing files, malformed JSON or unknown keys; on a
-            ``sweep`` that is not a non-empty list of objects setting only
-            pathway fields and ``label``; on a ``sweep_grid`` that is not a
-            non-empty object mapping pathway fields to non-empty lists; on a
-            document that sets both.
+        ConfigError: On missing files, malformed JSON, integers past
+            Python's digit limit or unknown keys; on a ``sweep`` that is not
+            a non-empty list of objects setting only pathway fields and
+            ``label``; on a ``sweep_grid`` that is not a non-empty object
+            mapping pathway fields to non-empty lists; on a document that
+            sets both.
     """
     doc: dict = {}
     if path is not None:
@@ -54,15 +55,16 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 
         file_path = Path(path)
         if not file_path.exists() and file_path.name in BUNDLED_CONFIGS:
-            from importlib import resources
-
-            file_path = Path(str(resources.files("sftokens").joinpath("configs", file_path.name)))
+            file_path = Path(__file__).with_name("configs") / file_path.name
         if not file_path.exists():
             raise ConfigError(f"config file not found: {path}")
+        text = file_path.read_text()  # outside the try: a decode error keeps its message
         try:
-            doc = json.loads(file_path.read_text())
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
 
@@ -74,6 +76,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ConfigError(f"override {key}: {exc}") from exc
         doc[key] = value
 
     _check_keys(doc, KNOWN_KEYS, "unknown keys in config")

@@ -13,23 +13,23 @@ encoder's features costs one copy at their native width. Every kernel
 accumulates and returns float64: a float32 input gives results bit-identical
 to the same kernel run on that input widened to float64.
 
-A grid's copy of at least one huge page (2 MiB) lives in a shared 32 MiB
-block: a private anonymous mapping advised ``MADV_HUGEPAGE``, carved into
-frames end to end. An encoder-width frame, 30x30x1024 float32, is 3.5 MiB,
-just under the 4 MiB from which numpy itself asks for huge pages. As heap
-copies, a 128-frame clip's frames are faulted in 4 KiB at a time, and glibc
-returns the pages when the clip is dropped, so wrapping each clip takes
-about 114,000 minor faults; into new blocks it takes about 420, in about
-half the time. A block whose last array is dropped is not unmapped but
-kept, advised ``MADV_FREE`` where ``mmap`` has it, so the kernel may
-reclaim its pages under memory pressure, and the next arrays are carved
-from a kept block before a new one is mapped: a clip wrapped after the one
-before it was dropped lands in pages that are already faulted in, and
-takes almost no faults. A block is mapped only when none is kept, so the
-blocks mapped, in use or kept, never outnumber the most ever in use at
-once. A frame bigger than a block gets a block of its own, unmapped when
-the frame is dropped. Smaller copies, and every copy where ``mmap`` cannot
-advise huge pages, stay on the heap.
+A grid's copy of at least one huge page (2 MiB), up to a block, lives in
+a shared 32 MiB block: a private anonymous mapping advised
+``MADV_HUGEPAGE``, carved into frames end to end. An encoder-width frame,
+30x30x1024 float32, is 3.5 MiB, just under the 4 MiB from which numpy
+itself asks for huge pages. As heap copies, a 128-frame clip's frames are
+faulted in 4 KiB at a time, and glibc returns the pages when the clip is
+dropped, so wrapping each clip takes about 114,000 minor faults; into new
+blocks it takes about 420, in about half the time. A block whose last
+array is dropped is not unmapped but kept, advised ``MADV_FREE`` where
+``mmap`` has it, so the kernel may reclaim its pages under memory
+pressure, and the next arrays are carved from a kept block before a new
+one is mapped: a clip wrapped after the one before it was dropped lands in
+pages that are already faulted in, and takes almost no faults. A block is
+mapped only when none is kept, so the blocks mapped, in use or kept, never
+outnumber the most ever in use at once. Copies under a huge page or over a
+block, and every copy where ``mmap`` cannot advise huge pages, stay on the
+heap.
 
 Both pooling kernels, and the pathways that pool many frames at once, run
 one path. It keeps each result on the grid it pooled, keyed by the kernel
@@ -83,7 +83,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,25 +97,19 @@ class FrameGrid:
     """One frame's feature grid, shape (rows, cols, channels).
 
     The backing array is copied once, in C order, and marked read-only;
-    a copy of 2 MiB or more is carved from a shared huge-page block, one
-    kept from dropped grids where there is one, and copied and checked in
-    one band of rows per CPU (see the module docstring), a smaller one is
-    a heap array copied on the calling thread. A float32 or float64 input
-    keeps its dtype; any other boolean, integer or floating dtype becomes
-    float64. Any other kind, complex, datetime, timedelta, string, object
-    or structured, raises, naming its dtype, rather than be cast to
-    numbers. A 2D array is accepted and promoted to a single channel.
-    Values must be finite. Grids the kernels return are float64.
+    the module docstring says where the copy lives and how it splits over
+    CPUs. A float32 or float64 input keeps its dtype; any other boolean,
+    integer or floating dtype becomes float64. Any other kind, complex,
+    datetime, timedelta, string, object or structured, raises, naming its
+    dtype, rather than be cast to numbers. A 2D array is accepted and
+    promoted to a single channel. Values must be finite. Grids the kernels
+    return are float64.
 
-    The pooling kernels and the pathways keep each result on the grid,
-    keyed by the kernel and its two integer sizes, and return it on a
-    repeat call; kept results live until this grid is dropped. Each costs
-    its float64 bytes: at C=1024 a 2x2 slow result takes half the bytes of
-    its float32 input grid, a 4x4 fast result 128 KiB. Every result is a
-    view of its stack's output, which stays alive while any of its frames'
-    results does; a grid pooled alone is a stack of one. A block serves
-    new grids and results again once every array in it is dropped, so
-    dropping a clip and wrapping the next reuses its pages.
+    The pooling kernels and the pathways keep each result on the grid and
+    return it on a repeat call; kept results live until this grid is
+    dropped. Each costs its float64 bytes: at C=1024 a 2x2 slow result
+    takes half the bytes of its float32 input grid, a 4x4 fast result 128
+    KiB. A result pooled in a stack keeps the whole stack's output alive.
     """
 
     values: np.ndarray
@@ -175,11 +168,11 @@ _ALIGN = 64
 _block_lock = threading.Lock()
 _block: weakref.ref[np.ndarray] | None = None  # the owner frames are carved from
 _block_used = 0
-_free: list[mmap.mmap] = []  # standard blocks whose every array was dropped
+_free: list[mmap.mmap] = []  # blocks whose every array was dropped
 
 
-def _map(nbytes: int, advice: int) -> mmap.mmap:
-    block = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+def _map(advice: int) -> mmap.mmap:
+    block = mmap.mmap(-1, _BLOCK_BYTES, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     try:
         block.madvise(advice)
     except OSError:  # huge pages unsupported here: 4 KiB pages serve
@@ -188,10 +181,10 @@ def _map(nbytes: int, advice: int) -> mmap.mmap:
 
 
 def _release(block: mmap.mmap) -> None:
-    # Runs when a standard block's owner array is collected, in whichever
-    # thread dropped its last view, perhaps one inside _fresh holding
-    # _block_lock: so it takes no lock, and list.append is atomic. The
-    # advice comes first, while no array can reach the block.
+    # Runs when a block's owner array is collected, in whichever thread
+    # dropped its last view, perhaps one inside _fresh holding _block_lock:
+    # so it takes no lock, and list.append is atomic. The advice comes
+    # first, while no array can reach the block.
     if hasattr(mmap, "MADV_FREE"):
         try:
             block.madvise(mmap.MADV_FREE)
@@ -202,27 +195,18 @@ def _release(block: mmap.mmap) -> None:
 
 def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     # An uninitialised, writable, C-ordered array of at least one huge
-    # page. Where mmap cannot advise huge pages it is an ordinary heap
-    # array. Otherwise it is cut from the current block, end to end at
-    # 64-byte alignment, or from a kept block, or a new one, when the
-    # current one is full or gone. Arrays are views of a block's owner, a
-    # uint8 array over it; the module holds the owner only weakly, and
-    # once its last view is dropped the block goes back to _free. A new
-    # block is mapped only when _free is empty, so the blocks mapped never
-    # outnumber the most that were ever in use at once. A frame bigger than
-    # a block gets a block of its own, unmapped when it is dropped.
+    # page. The module holds a block's owner, the uint8 array every array
+    # cut from it views, only weakly, so dropping its last view releases it.
     global _block, _block_used
     count = math.prod(shape)
     nbytes = count * dtype.itemsize
     advice = getattr(mmap, "MADV_HUGEPAGE", None)
-    if advice is None:
+    if advice is None or nbytes > _BLOCK_BYTES:
         return np.empty(shape, dtype)
-    if nbytes > _BLOCK_BYTES:
-        return np.frombuffer(_map(nbytes, advice), dtype, count).reshape(shape)
     with _block_lock:
         owner = _block() if _block is not None else None
         if owner is None or _block_used + nbytes > _BLOCK_BYTES:
-            block = _free.pop() if _free else _map(_BLOCK_BYTES, advice)
+            block = _free.pop() if _free else _map(advice)
             owner = np.frombuffer(block, np.uint8)
             weakref.finalize(owner, _release, block).atexit = False
             _block, _block_used = weakref.ref(owner), 0
@@ -231,9 +215,8 @@ def _fresh(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(owner, dtype, count, offset).reshape(shape)
 
 
-# The threads ``_split`` hands parts to: one per CPU beyond the caller's,
-# started at the first split, not at import. A forked child forgets them and
-# takes new locks, as no thread that held one at the fork runs there.
+# A forked child forgets the workers and takes new locks: no thread that
+# held one at the fork runs there.
 _workers_lock = threading.Lock()
 _workers = None
 
@@ -256,12 +239,9 @@ def _cpus() -> int:
 
 def _split(fn: Callable[[Any], Any], parts: Sequence) -> Iterator:
     # Yields fn(part) for each part in order, and raises the first failing
-    # part's error in its place, as a serial loop would. With two parts or
-    # more and two CPUs or more, the calling thread runs the first share of
-    # ceil(len(parts) / CPUs) parts while the workers run the rest, each
-    # part under a copy of the caller's context, where numpy keeps its
-    # errstate. After an error, or once the caller stops, parts not yet
-    # started are cancelled and running ones are waited for.
+    # part's error in its place, as a serial loop would. After an error, or
+    # once the caller stops, parts not yet started are cancelled and running
+    # ones are waited for, so no worker outlives the call.
     global _workers
     if len(parts) < 2 or (cpus := _cpus()) < 2:
         yield from map(fn, parts)
@@ -329,8 +309,6 @@ def _check_resample(out_rows: int, out_cols: int) -> tuple[int, int]:
 def _strided_sums(v: np.ndarray, stride_h: int, stride_w: int) -> np.ndarray:
     # v holds frames one above another, (frames * rows, cols, channels);
     # the stride divides each frame's rows, so no block spans two frames.
-    # Sums of an input of a huge page or more go where such inputs go, in
-    # a block from _fresh, the rest onto the heap.
     rows, cols, channels = v.shape
     if channels == 1:
         blocks = np.ascontiguousarray(v).reshape(
@@ -488,13 +466,8 @@ _STACK_BYTES = 256 * 1024
 
 
 def _pool(grids: Sequence[FrameGrid], kind: str, a: int, b: int) -> list[FrameGrid]:
-    # Each grid's result of pooling kernel ``kind`` at integer sizes (a, b),
-    # kept on the grid. Grids without one pool in stacks: runs of
-    # consecutive grids of one shape and dtype, checked to fit once, cut to
-    # _STACK_BYTES, each pooled in one call and kept only if all of its
-    # results are finite. A run of lone frames spreads its stacks over the
-    # CPUs; results are kept here, in order, up to the first stack that
-    # fails, as in the serial loop stacked frames run.
+    # Each grid's result of pooling kernel ``kind`` at integer sizes (a, b);
+    # the module docstring describes the stacks, the split and what is kept.
     key = (kind, a, b)
     todo = [grid for grid in grids if key not in grid._pooled]
     for _, run in groupby(todo, attrgetter("values.shape", "values.dtype")):
@@ -519,8 +492,7 @@ def _pool_stack(kind: str, a: int, b: int, stack: list[FrameGrid]) -> np.ndarray
         sums = _seal(_strided_sums(v, a, b))
         return sums.reshape(n, -1, *sums.shape[1:])
     # Widened as it is copied, the row sums add without numpy's buffered
-    # casts: 18% faster at C=4, and the same bits. A lone frame is neither
-    # copied nor widened.
+    # casts: 18% faster at C=4, and the same bits.
     v = values[0] if n == 1 else np.concatenate(values, axis=1, dtype=np.float64)
     sums = _seal(_adaptive_sums(v, n, a, b))
     return sums.reshape(a, n, b, -1).swapaxes(0, 1)

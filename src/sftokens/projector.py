@@ -20,14 +20,11 @@ the budget can import this module without it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidCount, InvalidOutputShape
 from .geometry import PatchGrid, Record, as_counts, check_strides_divide, show
-
-if TYPE_CHECKING:
-    from .kernels import FrameGrid
 
 
 class Arrangement(str, Enum):
@@ -86,13 +83,13 @@ class PathwayConfig(Record):
 DEFAULT_VIDEO_CONFIG = PathwayConfig(n_total=128, n_slow=32)
 
 
-class TokenBlock(NamedTuple):
-    """One pooled frame's ``rows * cols`` tokens, or the ``SEPARATOR`` block."""
+TokenBlock = namedtuple("TokenBlock", "pathway frame rows cols")
+TokenBlock.__doc__ = """One pooled frame's ``rows * cols`` tokens, or the ``SEPARATOR`` block.
 
-    pathway: str
-    frame: int | None
-    rows: int
-    cols: int
+``pathway`` is the str ``"slow"``, ``"fast"`` or ``"separator"``; ``frame``
+the int index of the pooled frame, None for the separator; ``rows`` and
+``cols`` ints.
+"""
 
 
 SEPARATOR = TokenBlock("separator", None, 1, 1)

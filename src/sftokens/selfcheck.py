@@ -8,7 +8,6 @@ call time so tests can inject a faulty kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 

@@ -470,6 +470,11 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--seed", "7")
         assert code == 0
 
+    def test_negative_seed_names_the_option(self, capsys):
+        assert run_cli(capsys, "check", "--seed", "-1") == (
+            1, "", "error: argument --seed: must be non-negative, got -1\n"
+        )
+
 
 class TestPlumbing:
     def test_out_writes_file(self, tmp_path, capsys):
@@ -540,6 +545,23 @@ class TestPlumbing:
     def test_override_requires_equals(self):
         with pytest.raises(ConfigError):
             load_config(None, ["n_slow"])
+
+    @pytest.mark.parametrize("where", ["override", "sweep", "file"])
+    def test_an_int_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys, where):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        with pytest.raises(ValueError) as limit:
+            int(digits)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(f'{{"context_length": {digits}}}')
+        path, overrides, named = {
+            "override": (None, [f"context_length={digits}"], "override context_length"),
+            "sweep": (None, [f'sweep=[{{"n_total": {digits}}}]'], "override sweep"),
+            "file": (str(cfg), [], f"config file {cfg}"),
+        }[where]
+        with pytest.raises(ConfigError, match="digits"):
+            load_config(path, overrides)
+        argv = ["--config", path] if path else ["--set", overrides[0]]
+        assert run_cli(capsys, "plan", *argv) == (1, "", f"error: {named}: {limit.value}\n")
 
     def test_sweep_labels_default_to_row_index(self):
         doc = {"sweep": [{"n_slow": 0}, {"n_slow": 32}]}

@@ -192,7 +192,7 @@ def test_workers_start_at_the_first_split():
 # loaded; the collector's state must be as it was before the import.
 LAZY_STDLIB = """
 import contextlib, gc, io, json, sys
-WATCHED = ("csv", "dataclasses", "importlib.resources", "inspect", "numbers", "pathlib")
+WATCHED = ("csv", "dataclasses", "importlib.resources", "inspect", "numbers", "pathlib", "typing")
 state = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
 from sftokens.cli import main
 loaded = []
@@ -209,17 +209,16 @@ def test_commands_import_only_the_stdlib_they_use():
     commands = [["plan"], ["arrange"], ["sweep"], ["arrange", "--config", "table4.cfg"]]
     done = run_python("-S", "-c", LAZY_STDLIB, json.dumps(commands))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
-        [], [], ["csv"], ["csv", "importlib.resources", "pathlib"],
-    ]
+    assert json.loads(done.stdout) == [[], [], ["csv"], ["csv", "pathlib"]]
 
 
 # A bare import: the planning records are built without dataclasses, and the
-# dataclasses functions load it only when first called on a record.
+# dataclasses functions load it only when first called on a record; nothing
+# imports typing.
 BARE_IMPORT = """
 import sys
 import sftokens
-assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, sys.modules
+assert not {"dataclasses", "inspect", "typing"} & set(sys.modules), sys.modules
 import dataclasses
 grid = dataclasses.replace(sftokens.PatchGrid(2, 3), cols=4)
 print(grid, [f.name for f in dataclasses.fields(grid)])
@@ -286,3 +285,17 @@ def test_commands_run_clean_in_dev_mode(kind):
     dev = run_python("-X", "dev", "-W", "error", "-m", "sftokens", *argv)
     assert (dev.returncode, dev.stdout) == (plain.returncode, plain.stdout)
     assert (plain.stderr, dev.stderr) == (stderr, stderr)
+
+
+# Each benchmark command in a process of its own, without the site module:
+# -X importtime names on stderr every module the process imports.
+@pytest.mark.parametrize("kind", [kind for kind in PROCESS_COMMANDS if kind != "check"])
+def test_benchmark_commands_load_neither_typing_nor_resources(kind):
+    argv, stderr = PROCESS_COMMANDS[kind]
+    done = run_python("-S", "-X", "importtime", "-m", "sftokens", *argv)
+    lines = done.stderr.splitlines()
+    imported = {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+    assert (done.returncode, [line for line in lines if not line.startswith("import time:")]) == (
+        2 if stderr else 0, stderr.splitlines()
+    )
+    assert "sftokens.cli" in imported and not {"typing", "importlib.resources"} & imported

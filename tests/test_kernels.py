@@ -262,8 +262,8 @@ class TestBlockReuse:
         self.mapped = []
         map_block = kernels._map
 
-        def record(nbytes, advice):
-            self.mapped.append(map_block(nbytes, advice))
+        def record(advice):
+            self.mapped.append(map_block(advice))
             return self.mapped[-1]
 
         monkeypatch.setattr(kernels, "_map", record)
@@ -298,15 +298,16 @@ class TestBlockReuse:
             gc.collect()
             assert len(self.mapped) == 2 and len(kernels._free) == 2
 
-    def test_an_oversized_frames_block_is_unmapped_with_it(self):
+    def test_an_oversized_frame_is_a_heap_array(self):
         src = np.ones((96, 96, 1024), np.float32)  # 36 MiB, over one block
         grid = FrameGrid(src)
-        block = weakref.ref(_owner(grid.values))
-        assert self.mapped == [block()] and len(block()) == src.nbytes
-        self.mapped.clear()
-        del grid
+        assert self.mapped == []
+        owner = _owner(grid.values)
+        assert isinstance(owner, np.ndarray) and owner.base is None and owner.nbytes == src.nbytes
+        assert grid.values.tobytes() == src.tobytes()
+        del grid, owner
         gc.collect()
-        assert block() is None and kernels._free == []
+        assert self.mapped == [] and kernels._free == []
 
     def test_rewrapping_a_clip_takes_a_tenth_of_the_faults(self):
         import resource
@@ -333,9 +334,9 @@ class TestBlockReuse:
         held = [FrameGrid(src)]
         map_block = kernels._map
 
-        def drop_then_map(nbytes, advice):
+        def drop_then_map(advice):
             held.clear()
-            return map_block(nbytes, advice)
+            return map_block(advice)
 
         monkeypatch.setattr(kernels, "_map", drop_then_map)
         built = []
