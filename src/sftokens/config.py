@@ -42,8 +42,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     fall back to plain strings.
 
     Raises:
-        ConfigError: On missing files, malformed JSON, integers past
-            Python's digit limit or unknown keys; on a ``sweep`` that is not
+        ConfigError: On missing files, malformed JSON, integers or nesting
+            past Python's limits, or unknown keys; on a ``sweep`` that is not
             a non-empty list of objects setting only pathway fields and
             ``label``; on a ``sweep_grid`` that is not a non-empty object
             mapping pathway fields to non-empty lists; on a document that
@@ -63,7 +63,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        except ValueError as exc:  # an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # past the int digit or nesting limit
             raise ConfigError(f"config file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -76,7 +76,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        except ValueError as exc:  # an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # past the int digit or nesting limit
             raise ConfigError(f"override {key}: {exc}") from exc
         doc[key] = value
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import DegenerateResize, InvalidDuration, NonDivisibleStride
 
@@ -248,6 +249,42 @@ def _positive_real(name: str, value, error: type[ValueError]) -> float:
     return number
 
 
+class Timestamps:
+    """A ``SamplingPlan``'s timestamps, immutable, each computed from its index when read, so
+    a plan costs the same at any frame count."""
+
+    __slots__ = ("_spec",)  # no method rebinds it, as in fractions.Fraction
+
+    def __init__(self, count: int, factor: float, last: float | None) -> None:
+        self._spec = (count, factor, last)  # factor: the fps, or the step if last is None
+
+    def _at(self, i: int) -> float:
+        count, factor, last = self._spec
+        return (i + 0.5) * factor if last is None else (last if i == count - 1 else i / factor)
+
+    def __len__(self) -> int:
+        return self._spec[0]
+
+    def __getitem__(self, index):
+        index = range(self._spec[0])[index]  # IndexError past either end; a slice gives a range
+        return tuple(map(self._at, index)) if type(index) is range else self._at(index)
+
+    def __iter__(self):
+        return map(self._at, range(self._spec[0]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, Timestamps)):
+            return NotImplemented
+        return self._spec == getattr(other, "_spec", None) or (
+            len(self) == len(other) and all(map(operator.eq, self, other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class SamplingPlan(Record):
     """Planned frame timestamps for a clip of ``source_duration`` seconds.
 
@@ -269,11 +306,13 @@ class SamplingPlan(Record):
         max_frames: Frame cap, an integer of at least 1.
         mode: Derived: ``"fps"`` for fixed-rate sampling,
             ``"uniform-fallback"`` when the fixed-rate count exceeds the cap.
-        timestamps: Derived: strictly increasing times in seconds, all
-            inside ``[0, source_duration)``.
+        timestamps: Derived: a lazy, immutable sequence that equals, hashes as and prints
+            as the tuple it stands for (a slice is that tuple's slice): times in seconds in
+            ``[0, source_duration)``, strictly increasing in plans of up to ``2**51`` frames.
 
     Raises:
         InvalidDuration: If ``source_duration`` is not a positive, finite real number.
+        ValueError: If the plan holds more than ``sys.maxsize`` frames, more than ``len()`` returns.
     """
 
     __slots__ = ("source_duration", "target_fps", "max_frames", "mode", "timestamps")
@@ -286,19 +325,20 @@ class SamplingPlan(Record):
             raise ValueError(f"max_frames must be at least 1, got {show(max_frames)}")
 
         fps_count = _fps_count(duration, target_fps)
+        count = min(fps_count, max_frames)
+        if count > sys.maxsize:
+            raise ValueError(f"a plan of {show(count)} frames is more than len() can return")
         if fps_count > max_frames:
-            step = duration / max_frames
-            timestamps = tuple((i + 0.5) * step for i in range(max_frames))
-            mode = UNIFORM_FALLBACK_MODE
+            mode, timestamps = UNIFORM_FALLBACK_MODE, Timestamps(count, duration / count, None)
         else:
-            timestamps = tuple(k / target_fps for k in range(fps_count))
-            if timestamps[-1] >= duration:
+            mode, last = FPS_MODE, (count - 1) / target_fps
+            if last >= duration:
                 # The last frame lies before the duration exactly, but its
                 # quotient rounds up to it (1/29.97 s, computed in floats,
                 # holds two frames at 29.97 fps); it takes the last float
                 # before the duration.
-                timestamps = timestamps[:-1] + (math.nextafter(duration, 0.0),)
-            mode = FPS_MODE
+                last = math.nextafter(duration, 0.0)
+            timestamps = Timestamps(count, target_fps, last)
         self._set(duration, target_fps, max_frames, mode, timestamps)
 
 

@@ -563,6 +563,19 @@ class TestPlumbing:
         argv = ["--config", path] if path else ["--set", overrides[0]]
         assert run_cli(capsys, "plan", *argv) == (1, "", f"error: {named}: {limit.value}\n")
 
+    @pytest.mark.parametrize("where", ["override", "file"])
+    def test_json_nested_past_the_recursion_limit_is_a_config_error(self, tmp_path, capsys, where):
+        deep = "[" * 100_000
+        with pytest.raises(RecursionError) as limit:
+            json.loads(deep)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(f'{{"sweep": {deep}}}')
+        argv, named = {
+            "override": (["--set", f"sweep={deep}"], "override sweep"),
+            "file": (["--config", str(cfg)], f"config file {cfg}"),
+        }[where]
+        assert run_cli(capsys, "plan", *argv) == (1, "", f"error: {named}: {limit.value}\n")
+
     def test_sweep_labels_default_to_row_index(self):
         doc = {"sweep": [{"n_slow": 0}, {"n_slow": 32}]}
         _, labels = sweep_configs(doc, DEFAULT_VIDEO_CONFIG)

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -204,6 +206,14 @@ class TestSampleFrames:
         with pytest.raises(ValueError):
             sample_frames(10.0, max_frames=0)
 
+    def test_frame_counts_past_sys_maxsize_rejected(self):
+        # Past the cap (the count is the cap) and under it (the fps count).
+        for duration, cap in ((1e300, sys.maxsize + 1), (1e300, 10**400), (1e19, 2**100)):
+            count = min(math.ceil(Fraction(repr(duration))), cap)
+            with pytest.raises(ValueError, match=f"^a plan of {count} frames is more than len"):
+                sample_frames(duration, 1.0, cap)
+        assert len(sample_frames(1e300, 1.0, sys.maxsize).timestamps) == sys.maxsize
+
     def test_cap_must_be_an_integer(self):
         # 5 s fits a float cap of 128.0 and 500 s overflows it; both are
         # rejected where they enter, as is a bool cap.
@@ -351,27 +361,39 @@ class TestSamplingProperties:
 
 
 _RATES = st.one_of(
-    st.sampled_from([0.5, 1.0, 2.0, 23.976, 24.0, 25.0, 29.97, 30.0, 59.94, 60.0]),
+    st.sampled_from([0.5, 1.0, 2.0, 23.976, 24.0, 25.0, 29.97, 30.0, 30000 / 1001, 59.94, 60.0]),
     st.floats(0.1, 120.0),
 )
+# Up to this many frames a plan is checked at every index, past it at a few.
+_CHECKED_WHOLE = 2000
 
 
 @st.composite
 def _clip(draw):
     fps = draw(_RATES)
     duration = draw(st.one_of(
-        st.floats(1e-3, 1e4),
-        st.integers(1, 10**7).map(lambda ms: ms / 1000),
+        st.floats(1e-3, 1e6),
+        st.integers(1, 10**9).map(lambda ms: ms / 1000),
         # a whole number of frames, as a caller's float division gives it
         st.integers(1, 2000).map(lambda n: n / fps),
     ))
-    return duration, fps, draw(st.integers(1, 512))
+    return duration, fps, draw(st.one_of(st.integers(1, 512), st.integers(1, 10**12)))
+
+
+def _timestamp(duration, fps, cap, i):
+    # Oracle: timestamp i of the plan, by the formula of each mode.
+    count = math.ceil(Fraction(repr(duration)) * Fraction(repr(fps)))
+    if count > cap:
+        step = duration / cap
+        return (i + 0.5) * step
+    t = i / fps
+    return math.nextafter(duration, 0.0) if i == count - 1 and t >= duration else t
 
 
 class TestSamplingExactCount:
     @settings(max_examples=500, deadline=None)
-    @given(_clip())
-    def test_count_is_exact_and_emitted(self, clip):
+    @given(_clip(), st.data())
+    def test_count_is_exact_and_emitted(self, clip, data):
         duration, fps, cap = clip
         exact = math.ceil(Fraction(repr(duration)) * Fraction(repr(fps)))
         plan = sample_frames(duration, fps, cap)
@@ -379,7 +401,40 @@ class TestSamplingExactCount:
         assert (plan.mode == "uniform-fallback") == (exact > cap)
         ts = plan.timestamps
         assert 0.0 <= ts[0] and ts[-1] < duration
-        assert all(a < b for a, b in zip(ts, ts[1:]))
+        n = len(ts)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ts[i]
+        if n <= _CHECKED_WHOLE:
+            want = tuple(_timestamp(duration, fps, cap, i) for i in range(n))
+            assert ts == want and want == ts and not ts != want
+            assert hash(ts) == hash(want) and repr(ts) == repr(want)
+            assert tuple(ts) == want and list(ts) == list(want)
+            assert [ts[i] for i in range(-n, n)] == [want[i] for i in range(-n, n)]
+            ends = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+            cut = slice(data.draw(ends), data.draw(ends),
+                        data.draw(st.one_of(st.none(), st.integers(-5, 5).filter(bool))))
+            assert ts[cut] == want[cut] and type(ts[cut]) is tuple
+            assert all(a < b for a, b in zip(ts, ts[1:]))
+        else:
+            drawn = data.draw(st.lists(st.integers(0, n - 2), max_size=5))
+            for i in [0, n - 2, *drawn]:
+                assert ts[i] == ts[i - n] == _timestamp(duration, fps, cap, i)
+                assert ts[i] < ts[i + 1] == _timestamp(duration, fps, cap, i + 1)
+
+    def test_a_plan_costs_the_same_at_any_frame_count(self):
+        # 10**9 frames at 1 fps, and 10**12 bin centres past the cap.
+        for duration in (10**9, 10**13):
+            tracemalloc.start()
+            try:
+                plan = sample_frames(duration, 1.0, 10**12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            n = len(plan.timestamps)
+            assert n == min(duration, 10**12)
+            assert plan.timestamps[-1] == _timestamp(duration, 1.0, 10**12, n - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(_clip(), st.integers(1, 512))
